@@ -5,7 +5,7 @@ Fraisse classes of finite structures."""
 
 from .scalar import (EvalPoint, ParamScalar, Poly, TruncatedSeries,
                      binomial_poly, binom_of, binomial_series, evaluate,
-                     falling_factorial, series_mul)
+                     falling_factorial)
 from .setexpr import SetExpr, empty, inj, one, power, product, sub, union
 from .symcontext import SymContext, SymPattern
 from .ordercontext import (OrderContext, OrderMeasureSpec, OrderPattern,

@@ -9,12 +9,13 @@ structural maps, Frobenius algebra structure and idempotent decomposition.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 import random
 
 from .scalar import EvalPoint, Poly, evaluate
 from .setexpr import SetExpr, product, one, union
 from .integration import GSetMap, SchwartzFunction, pullback, pushforward
-from .matrixalg import (EndAlgebra, InvariantMatrix, matmul)
+from .matrixalg import EndAlgebra, InvariantMatrix, _solve_dependency, matmul
 
 
 class PermObject:
@@ -35,12 +36,6 @@ class PermObject:
 
     def __repr__(self):
         return f"PermObject({self.expr.to_text()})"
-
-
-def _check_morphism(m: InvariantMatrix):
-    if m.level != 0:
-        raise ValueError("morphisms are fully invariant (level 0) matrices")
-    return m
 
 
 def hom_basis(x: PermObject, y: PermObject) -> list[InvariantMatrix]:
@@ -322,7 +317,7 @@ def _split_idempotent(sp, e, z):
     cur = list(e)
     minp = None
     for _ in range(sp.dim + 1):
-        dep = _dependency(rows)
+        dep = _solve_dependency(rows)
         if dep is not None:
             minp = Poly(dep).monic()
             break
@@ -354,18 +349,11 @@ def _split_idempotent(sp, e, z):
     return pieces
 
 
-def _dependency(rows):
-    from .matrixalg import _solve_dependency
-    return _solve_dependency(rows)
-
-
 def _rational_roots(p: Poly) -> list[Fraction]:
     """All rational roots of p, by clearing denominators and trying divisors."""
     if p.is_zero():
         return []
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in p.coeffs))
     ints = [int(c * den) for c in p.coeffs]
     while ints and ints[0] == 0:
         ints = ints[1:]  # factor out x; 0 is a root
@@ -393,12 +381,6 @@ def _divisors(n: int):
             out.add(n // d)
         d += 1
     return sorted(out) if out else [1]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

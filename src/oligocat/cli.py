@@ -41,9 +41,15 @@ def parse_context(text: str):
         except ValueError as exc:
             raise UsageError(f"bad order context {text!r}") from exc
         return OrderContext(eps, delt)
-    if text.startswith("glq:"):
-        return QContext(int(text[len("glq:"):]))
     raise UsageError(f"unknown context {text!r}")
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type of levels, sizes and bounds."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def parse_set(text: str) -> SetExpr:
@@ -143,7 +149,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("orbits", help="orbit table of a set at a level")
     p.add_argument("--ctx", required=True)
     p.add_argument("--set", required=True, dest="set_text")
-    p.add_argument("--level", type=int, default=0)
+    p.add_argument("--level", type=nonnegative_int, default=0)
     p.add_argument("--at")
 
     p = sub.add_parser("hom", help="Hom basis between permutation objects")
@@ -178,9 +184,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="run named verification suites")
     p.add_argument("--suite", default="all",
                    help="one of %s or all" % ", ".join(SUITE_NAMES))
-    p.add_argument("--ctx")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int)
 
     p = sub.add_parser("fraisse", help="model-theoretic measures")
     p.add_argument("--class", dest="klass", required=True,
@@ -191,13 +195,13 @@ def main(argv=None) -> int:
                    help="mu or nu for the boron class")
     p.add_argument("--table", default=None,
                    help="JSON file {canonical form: value} with a candidate")
-    p.add_argument("--max-size", type=int, default=4)
+    p.add_argument("--max-size", type=nonnegative_int, default=4)
 
     p = sub.add_parser("glq", help="q-binomial measure arithmetic")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--what", required=True,
                    choices=("pascal", "omega", "grassmann"))
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--bound", type=nonnegative_int, default=4)
 
     try:
         args = parser.parse_args(argv)
@@ -319,7 +323,7 @@ def _dispatch(args) -> int:
         return 0 if ok_all else 1
 
     if args.command == "verify":
-        rows = run_suites(args.suite, seed=args.seed, threads=args.threads)
+        rows = run_suites(args.suite, seed=args.seed)
         if args.format == "json":
             json.dump({"checks": [c.as_dict() for c in rows]}, out,
                       sort_keys=True)
@@ -367,8 +371,11 @@ def _dispatch(args) -> int:
 
 def _load_table_candidate(kind: str, path: str):
     from .fraisse import candidate_from_table
-    with open(path) as fh:
-        table = json.load(fh)
+    try:
+        with open(path) as fh:
+            table = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read table: {exc}") from exc
     return candidate_from_table(f"{kind}-table", kind, table)
 
 

@@ -41,10 +41,6 @@ class Structure:
         """Substructure on the given elements (in the given order)."""
         raise NotImplementedError
 
-    def automorphisms(self):
-        return [p for p in permutations(range(self.size))
-                if self.relabel_key(p) == self.relabel_key(tuple(range(self.size)))]
-
     def relabel_key(self, perm):
         raise NotImplementedError
 
@@ -271,16 +267,6 @@ class BoronTree(Structure):
     def relation(self, w, x, y, z) -> bool:
         """True when the geodesic through w,x meets the one through y,z."""
         return bool(self._path(w, x) & self._path(y, z))
-
-    def relation_table(self):
-        n = self.size
-        out = {}
-        for quad in combinations(range(n), 4):
-            w, x, y, z = quad
-            out[quad] = (self.relation(w, x, y, z),
-                         self.relation(w, y, x, z),
-                         self.relation(w, z, x, y))
-        return out
 
     def relabel_key(self, perm):
         inv = {perm[v]: v for v in range(self.size)}

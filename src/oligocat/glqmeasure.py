@@ -156,30 +156,6 @@ def count_subspaces(q: int, n: int, d: int) -> int:
     return len(_all_subspaces(q, n, d))
 
 
-def _rref_mod(mat, p):
-    """Reduced row echelon form mod p; None when the rank is deficient."""
-    rows = [r[:] for r in mat]
-    nrows, ncols = len(rows), len(rows[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == nrows:
-            break
-    if r < nrows:
-        return None
-    return tuple(tuple(row) for row in rows)
-
-
 def count_spanning_pairs(q: int, ambient: int, i: int, j: int, d: int) -> int:
     """Number of pairs (V, W) of subspaces of F_q^ambient with dim V = i,
     dim W = j and dim(V + W) = d, for a fixed d-dimensional sum: counted by

@@ -36,17 +36,18 @@ class GSetMap:
         self._validate()
 
     def _infer_symgroups(self, c: int):
-        """Source Inj-factor slot groups feeding Sub targets (symmetrizations)."""
+        """Source Inj-factor slot groups feeding Sub targets (symmetrizations),
+        each once: a group feeding two Sub targets is one symmetry."""
         tc, assigns = self.routes[c]
         tfactors = self.target.comps[tc]
         src_sub_slots = set()
         for g in self.source.sub_groups(c):
             src_sub_slots.update(g)
-        groups = []
+        groups = set()
         for (kind, _), slots in zip(tfactors, assigns):
             if kind == "S" and slots and slots[0] not in src_sub_slots:
-                groups.append(tuple(sorted(slots)))
-        return groups
+                groups.add(tuple(sorted(slots)))
+        return sorted(groups)
 
     def _validate(self):
         for c, (tc, assigns) in enumerate(self.routes):

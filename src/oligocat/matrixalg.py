@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .scalar import (EvalPoint, Poly, TruncatedSeries, evaluate)
-from .setexpr import SetExpr, product, one
+from .setexpr import SetExpr, product
 from .integration import (GSetMap, SchwartzFunction, change_level, integrate,
                           pullback, pushforward)
 
@@ -121,12 +122,6 @@ def matmul(b: InvariantMatrix, a: InvariantMatrix) -> InvariantMatrix:
     return InvariantMatrix(a.ctx, x, z, pushforward(pzx, big))
 
 
-def apply_to(a: InvariantMatrix, v: SchwartzFunction) -> SchwartzFunction:
-    """Matrix-vector product; vectors on X are matrices X <- point."""
-    vm = InvariantMatrix(v.ctx, one(), v.expr, v)
-    return matmul(a, vm).entries
-
-
 def trace(a: InvariantMatrix) -> Poly:
     """Integral of the diagonal restriction."""
     if a.domain != a.codomain:
@@ -169,7 +164,7 @@ def higher_trace(a: InvariantMatrix, n: int) -> Poly:
             piece = Poly.one()
             for _ in range(mj):
                 piece = piece * base
-            term = term * piece / _factorial(mj)
+            term = term * piece / factorial(mj)
         total = total + term
     return total
 
@@ -197,13 +192,6 @@ def _partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
 
     rec(n, n, [])
     return tuple(out)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +355,6 @@ class SpecializedEnd:
             raise ArithmeticError("element is not invertible")
         g = Poly(list(m.coeffs[1:]))  # m(x) = x*g(x) + c0
         return [-c / c0 for c in self.poly_of(g, w)]
-
-    def is_nilpotent(self, v) -> bool:
-        cur = list(v)
-        for _ in range(self.dim + 1):
-            if all(c == 0 for c in cur):
-                return True
-            cur = self.mul(cur, v)
-        return False
 
     def is_commutative(self) -> bool:
         es = [[Fraction(1) if i == j else Fraction(0) for j in range(self.dim)]

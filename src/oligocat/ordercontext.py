@@ -14,10 +14,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import lru_cache
-from itertools import permutations
 
 from .scalar import Poly
-from .setexpr import SetExpr
+from .setexpr import SetExpr, perm_group
 
 # Pattern classes are tuples of items; an item is a slot id >= 0 or -i for
 # the i-th pinned constant (so constants sort first within a class).
@@ -204,44 +203,17 @@ class OrderContext:
     # -- pushforward primitive -------------------------------------------
 
     def push_orbit(self, mapdata, pat: OrderPattern):
-        src, tgt = mapdata.source, mapdata.target
-        tcomp, assigns = mapdata.routes[pat.comp]
-        level = pat.level
-
-        class_of = {}
-        for ci, cls in enumerate(pat.classes):
-            for item in cls:
-                class_of[item] = ci
-
-        tgt_slot_src = []
-        for slots in assigns:
-            tgt_slot_src.extend(slots)
-
-        # image pattern: induced weak order on target slots and constants
-        img = {}
-        for tslot, sslot in enumerate(tgt_slot_src):
-            img.setdefault(class_of[sslot], []).append(tslot)
-        for ci, cls in enumerate(pat.classes):
-            for item in cls:
-                if item < 0:
-                    img.setdefault(ci, []).append(item)
-        img_classes = tuple(tuple(sorted(img[ci])) for ci in sorted(img))
-        image = self.canonicalize(tgt, OrderPattern(tcomp, level, img_classes))
+        src = mapdata.source
+        image = self.image_orbit(mapdata, pat)
+        k = src.slot_count(pat.comp)
 
         # multiplicity from symmetrized Inj factors
         sym_groups = mapdata.symmetrized_groups(pat.comp)
-        m_sym = 1
-        if sym_groups:
-            ref = pat.classes
-            k = src.slot_count(pat.comp)
-            m_sym = sum(
-                1 for w in _perm_group(sym_groups, k)
-                if tuple(tuple(sorted(w[i] if i >= 0 else i for i in cls))
-                         for cls in ref) == ref)
+        m_sym = _fixing(sym_groups, k, pat.classes) if sym_groups else 1
 
         # residual measure: classes without referenced slots or constants,
         # sitting in gaps between "pinned" classes
-        referenced = set(tgt_slot_src)
+        referenced = {s for slots in mapdata.routes[pat.comp][1] for s in slots}
         pinned = []        # per class: True if it has a constant or a referenced slot
         counts = []        # number of unreferenced slots per class
         for cls in pat.classes:
@@ -280,11 +252,7 @@ class OrderContext:
                 tuple(sorted([i for i in cls if i >= 0 and i not in referenced]
                              + ([-(ci + 1000)] if pinned[ci] else [])))
                 for ci, cls in enumerate(pat.classes))
-            k = src.slot_count(pat.comp)
-            s_res = sum(
-                1 for w in _perm_group(res_groups, k)
-                if tuple(tuple(sorted(w[i] if i >= 0 else i for i in cls))
-                         for cls in marked) == marked)
+            s_res = _fixing(tuple(res_groups), k, marked)
         return image, Poly.const(coeff) / s_res * m_sym
 
     def image_orbit(self, mapdata, pat: OrderPattern) -> OrderPattern:
@@ -315,6 +283,13 @@ class OrderContext:
 
     def parse_orbit(self, expr: SetExpr, s: str) -> OrderPattern:
         return parse_order_pattern(expr, s, self)
+
+
+def _fixing(groups, k: int, classes: Classes) -> int:
+    """Number of slot maps of perm_group(groups, k) fixing the classes."""
+    return sum(1 for w in perm_group(groups, k)
+               if tuple(tuple(sorted(w[i] if i >= 0 else i for i in cls))
+                        for cls in classes) == classes)
 
 
 def _full_line_value(e: int, d: int, k: int) -> int:
@@ -380,25 +355,6 @@ def _weak_orders(items, separated, n_consts: int = 0):
             classes.pop(pos)
 
     yield from rec(0, [])
-
-
-@lru_cache(maxsize=None)
-def _perm_group_cached(groups, k):
-    perms = [tuple(range(k))]
-    for g in groups:
-        new = []
-        for base in perms:
-            for p in permutations(g):
-                w = list(base)
-                for a, b in zip(g, p):
-                    w[a] = b
-                new.append(tuple(w))
-        perms = new
-    return tuple(perms)
-
-
-def _perm_group(groups, k):
-    return _perm_group_cached(tuple(tuple(g) for g in groups), k)
 
 
 def parse_order_pattern(expr: SetExpr, s: str, ctx: OrderContext | None = None

@@ -623,11 +623,6 @@ def _parse_series_term(piece: str, var: str) -> tuple[int, Poly]:
     return k, (-c if neg else c)
 
 
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficient-wise convolution truncated to the common order."""
-    return a * b
-
-
 def binomial_series(exponent, base, order: int = TruncatedSeries.DEFAULT_ORDER
                     ) -> TruncatedSeries:
     """(1 + base*u)^exponent as a truncated series; the exponent may be a

@@ -9,6 +9,7 @@ set is the empty product; the empty set is the empty union.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterable
 
@@ -56,9 +57,6 @@ class SetExpr:
     def n_comps(self) -> int:
         return len(self.comps)
 
-    def is_empty(self) -> bool:
-        return not self.comps
-
     # -- slot geometry of one component --------------------------------
 
     def slot_count(self, c: int) -> int:
@@ -82,22 +80,10 @@ class SetExpr:
         return [slots for (kind, _), slots in
                 zip(self.comps[c], self.factor_slots(c)) if kind == "S"]
 
-    def slot_symmetries(self, c: int):
+    def slot_symmetries(self, c: int) -> tuple[tuple[int, ...], ...]:
         """The group of slot permutations induced by Sub factors, as maps
         slot -> slot (identity off the Sub groups)."""
-        groups = self.sub_groups(c)
-        k = self.slot_count(c)
-        perms = [tuple(range(k))]
-        for g in groups:
-            new = []
-            for base in perms:
-                for p in permutations(g):
-                    w = list(base)
-                    for a, b in zip(g, p):
-                        w[a] = base[b]
-                    new.append(tuple(w))
-            perms = new
-        return perms
+        return perm_group(tuple(self.sub_groups(c)), self.slot_count(c))
 
     # -- text form ------------------------------------------------------
 
@@ -146,6 +132,25 @@ class SetExpr:
                 factors.append((_NAME_KINDS[m.group(1)], int(m.group(2))))
             comps.append(tuple(factors))
         return SetExpr(comps)
+
+
+@lru_cache(maxsize=None)
+def perm_group(groups: tuple[tuple[int, ...], ...], k: int
+               ) -> tuple[tuple[int, ...], ...]:
+    """Slot maps on 0..k-1 that rearrange each group in turn and fix every
+    other slot: the product of the groups' symmetric groups when the groups
+    are pairwise disjoint."""
+    perms = [tuple(range(k))]
+    for g in groups:
+        new = []
+        for base in perms:
+            for p in permutations(g):
+                w = list(base)
+                for a, b in zip(g, p):
+                    w[a] = b
+                new.append(tuple(w))
+        perms = new
+    return tuple(perms)
 
 
 # -- constructors -------------------------------------------------------

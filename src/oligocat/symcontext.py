@@ -230,34 +230,15 @@ class SymContext:
         the orbit measures, which the symmetry orders make exact:
         ff(N + g_det, g_free) * s_image / s_source.
         """
-        src, tgt = mapdata.source, mapdata.target
-        tcomp, assigns = mapdata.routes[pat.comp]
-        level = pat.level
-
-        block_of = {}
-        for i, (slots, _) in enumerate(pat.blocks):
-            for s in slots:
-                block_of[s] = i
-
-        # image pattern on target slots
-        tgt_slot_src = []                      # source slot feeding each target slot
-        for slots in assigns:
-            tgt_slot_src.extend(slots)
-        tgt_blocks: dict[int, list[int]] = {}
-        for tslot, sslot in enumerate(tgt_slot_src):
-            tgt_blocks.setdefault(block_of[sslot], []).append(tslot)
-        determined = set(tgt_blocks)           # source blocks meeting the map
-        img_blocks = []
-        for i, tslots in tgt_blocks.items():
-            img_blocks.append((tuple(sorted(tslots)), pat.blocks[i][1]))
-        image = self.canonicalize(tgt, SymPattern(tcomp, level,
-                                                  _sort_blocks(img_blocks)))
-
-        g_det = sum(1 for i in determined if pat.blocks[i][1] is None)
+        image = self.image_orbit(mapdata, pat)
+        used = {s for slots in mapdata.routes[pat.comp][1] for s in slots}
+        # generic source blocks meeting the map are determined by the image
+        g_det = sum(1 for slots, pin in pat.blocks
+                    if pin is None and used.intersection(slots))
         g_free = pat.generic_count() - g_det
-        s_src = self.stabilizer_order(src, pat)
-        s_img = self.stabilizer_order(tgt, image)
-        coeff = (falling_factorial(level + g_det, g_free) * s_img) / s_src
+        s_src = self.stabilizer_order(mapdata.source, pat)
+        s_img = self.stabilizer_order(mapdata.target, image)
+        coeff = (falling_factorial(pat.level + g_det, g_free) * s_img) / s_src
         return image, coeff
 
     def image_orbit(self, mapdata, pat: SymPattern) -> SymPattern:
@@ -295,25 +276,6 @@ class SymContext:
                   for slots, pin in pat.blocks]
         return self.canonicalize(expr, SymPattern(pat.comp, pat.level,
                                                   _sort_blocks(blocks)))
-
-
-@lru_cache(maxsize=None)
-def _perm_group_cached(groups: tuple[tuple[int, ...], ...], k: int):
-    perms = [tuple(range(k))]
-    for g in groups:
-        new = []
-        for base in perms:
-            for p in permutations(g):
-                w = list(base)
-                for a, b in zip(g, p):
-                    w[a] = b
-                new.append(tuple(w))
-        perms = new
-    return tuple(perms)
-
-
-def _perm_group(groups, k):
-    return _perm_group_cached(tuple(tuple(g) for g in groups), k)
 
 
 def _partitions(k: int, separated: list[tuple[int, ...]]):

@@ -118,7 +118,8 @@ def test_criterion_05_deligne_example_series():
 def test_criterion_06_finite_group_oracle():
     ok = True
     for n, big_n in ((1, 4), (2, 6), (2, 8)):
-        alg, mats = sym_end_oracle(n, big_n)
+        alg, rows = sym_end_oracle(n, big_n)
+        mats = [np.array(m) for m in rows]
         at = EvalPoint.rational(big_n)
         sc = alg.structure_constants()
         for i in range(alg.dim):

@@ -1,6 +1,14 @@
 import json
+import pathlib
 import subprocess
 import sys
+
+import pytest
+
+from oligocat import cli
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
 def run_cli(*args):
@@ -113,3 +121,28 @@ def test_glq_commands():
     code, out, _ = run_cli("glq", "--q", "3", "--what", "grassmann",
                            "--bound", "3")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--ctx", "glq:2", "--set", "Sub(3)"],
+    ["fraisse", "--class", "sets", "--check", "measure",
+     "--table", "/nonexistent/table.json"],
+    ["orbits", "--ctx", "sym", "--set", "Omega", "--level", "-1"],
+    ["fraisse", "--class", "sets", "--check", "measure", "--max-size", "-1"],
+    ["glq", "--q", "2", "--what", "omega", "--bound", "-1"],
+    ["verify", "--suite", "rado-demo", "--threads", "2"],
+    ["verify", "--suite", "rado-demo", "--ctx", "sym"],
+], ids=["glq-context", "missing-table", "negative-level",
+        "negative-max-size", "negative-bound", "threads", "verify-ctx"])
+def test_refused_input_exits_2(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", GOLDEN,
+                         ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_golden_stdout(case, capsys):
+    """stdout is byte-identical to the recorded corpus."""
+    assert cli.main(case["argv"]) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]

@@ -107,6 +107,20 @@ def test_push_transitivity():
                 == pushforward(g, pushforward(f, phi)))
 
 
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=["sym", "order"])
+def test_symmetrization_feeding_two_sub_factors(ctx):
+    """One Inj(2) slot group feeds both Sub(2) factors, so the map has one
+    symmetry, not two: Fubini holds and the map agrees with symmetrizing and
+    then taking the diagonal."""
+    f = GSetMap(inj(2), product(sub(2), sub(2)), [(0, [(0, 1), (0, 1)])])
+    phi = SchwartzFunction.indicator(ctx, inj(2), 0)
+    pushed = pushforward(f, phi)
+    assert integrate(pushed) == integrate(phi)
+    two_steps = pushforward(GSetMap.diagonal(sub(2)),
+                            pushforward(GSetMap.symmetrization(inj(2)), phi))
+    assert pushed == two_steps
+
+
 def test_base_change():
     rng = random.Random(13)
     for ctx in CONTEXTS:
