@@ -2,8 +2,8 @@
 
 Objects are declared sets; morphisms are fully invariant matrices (level 0)
 composed by measure-weighted matrix multiplication.  This module adds the
-tensor structure, self-duality, categorical the matrices attached to
-structural maps, Frobenius algebra structure and idempotent decomposition.
+tensor structure, self-duality and categorical traces, the matrices attached
+to structural maps, Frobenius algebra structure and idempotent decomposition.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 from .scalar import EvalPoint, Poly, evaluate
 from .setexpr import SetExpr, product, one, union
 from .integration import GSetMap, SchwartzFunction, pullback, pushforward
-from .matrixalg import EndAlgebra, InvariantMatrix, _solve_dependency, matmul
+from .matrixalg import EndAlgebra, InvariantMatrix, matmul
 
 
 class PermObject:
@@ -311,20 +311,8 @@ def idempotent_decompose(x: PermObject, at: EvalPoint, seed: int = 0):
 def _split_idempotent(sp, e, z):
     """Split the idempotent e along the spectrum of e z e in the corner."""
     a = sp.mul(sp.mul(e, z), e)
-    # minimal polynomial of a as an element of the corner algebra eAe:
-    # powers of a stay in the corner; a^0 must be e, not 1
-    rows = [list(e)]
-    cur = list(e)
-    minp = None
-    for _ in range(sp.dim + 1):
-        dep = _solve_dependency(rows)
-        if dep is not None:
-            minp = Poly(dep).monic()
-            break
-        cur = sp.mul(cur, a)
-        rows.append(list(cur))
-    if minp is None:
-        raise ArithmeticError("no minimal polynomial in corner")
+    # powers of a stay in the corner eAe, whose unit is e
+    minp = sp.min_poly(a, unit=e)
     roots = _rational_roots(minp)
     sq = minp.squarefree_part()
     if sq != minp or len(roots) != minp.degree():

@@ -191,7 +191,7 @@ def main(argv=None) -> int:
                    choices=("sets", "orders", "graphs", "boron"))
     p.add_argument("--check", required=True,
                    choices=("measure", "amalgams", "theta", "rado"))
-    p.add_argument("--measure", default=None,
+    p.add_argument("--measure", default=None, choices=("mu", "nu"),
                    help="mu or nu for the boron class")
     p.add_argument("--table", default=None,
                    help="JSON file {canonical form: value} with a candidate")

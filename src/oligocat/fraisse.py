@@ -566,24 +566,12 @@ def embeddings(y: Structure, x: Structure) -> list[EmbeddingMap]:
                 out.append(EmbeddingMap(y, x, m))
     elif isinstance(y, BoronTree):
         for m in permutations(range(x.size), y.size):
-            if _boron_embeds(y, x, m):
+            if _induces(x, m, y):
                 out.append(EmbeddingMap(y, x, m))
     else:
         raise TypeError(f"unknown structure {y!r}")
     _emb_cache[(y, x)] = out
     return out
-
-
-def _boron_embeds(y: BoronTree, x: BoronTree, m) -> bool:
-    if y.size <= 3:
-        return True  # at most one boron tree shape, any injection works
-    for quad in combinations(range(y.size), 4):
-        w, a, b, c = quad
-        if (y.relation(w, a, b, c) != x.relation(m[w], m[a], m[b], m[c])
-                or y.relation(w, b, a, c) != x.relation(m[w], m[b], m[a], m[c])
-                or y.relation(w, c, a, b) != x.relation(m[w], m[c], m[a], m[b])):
-            return False
-    return True
 
 
 def count_embeddings(y: Structure, gamma: Structure) -> int:

@@ -244,26 +244,22 @@ class EndAlgebra:
         return self._identity
 
     def check_associativity(self) -> bool:
+        """(B_i B_j) B_k = B_i (B_j B_k) on the table:
+        sum_m c_ij^m c_mk^l = sum_m c_jk^m c_im^l for every l."""
         sc = self.structure_constants()
 
-        def mul(u, v):
+        def combine(coeffs, rows):
             out = [Poly.zero()] * self.dim
-            for i, a in enumerate(u):
-                if a.is_zero():
-                    continue
-                for j, b in enumerate(v):
-                    if b.is_zero():
-                        continue
-                    for k, c in enumerate(sc[i][j]):
-                        out[k] = out[k] + a * b * c
+            for a, row in zip(coeffs, rows):
+                if not a.is_zero():
+                    out = [o + a * c for o, c in zip(out, row)]
             return out
 
-        es = [[Poly.one() if i == j else Poly.zero() for j in range(self.dim)]
-              for i in range(self.dim)]
         for i in range(self.dim):
             for j in range(self.dim):
                 for k in range(self.dim):
-                    if mul(mul(es[i], es[j]), es[k]) != mul(es[i], mul(es[j], es[k])):
+                    if (combine(sc[i][j], [plane[k] for plane in sc])
+                            != combine(sc[j][k], sc[i])):
                         return False
         return True
 
@@ -314,18 +310,20 @@ class SpecializedEnd:
             out = [a + b * c for a, b in zip(out, self.ident)]
         return out
 
-    def min_poly(self, v) -> Poly:
-        """Minimal polynomial by linear-dependence search on powers."""
-        rows = []
-        cur = list(self.ident)
-        powers = [cur]
+    def min_poly(self, v, unit=None) -> Poly:
+        """Minimal polynomial of v by linear-dependence search on the powers
+        unit, unit*v, unit*v^2, ...  The unit is the identity by default; an
+        idempotent e with v in eAe gives the minimal polynomial in the corner
+        algebra eAe.  The powers are independent until the first dependency,
+        so the one kernel vector then found, made monic, is the answer."""
+        powers = [list(self.ident if unit is None else unit)]
         for _ in range(self.dim + 1):
-            rows.append(list(powers[-1]))
-            dep = _solve_dependency(rows)
-            if dep is not None:
-                return Poly(dep).monic()
+            kernel = _nullspace(list(zip(*powers)), len(powers))
+            if kernel:
+                return Poly(kernel[0]).monic()
             powers.append(self.mul(powers[-1], v))
-        raise RuntimeError("minimal polynomial not found (dimension bound hit)")
+        raise ArithmeticError(
+            "minimal polynomial not found (dimension bound hit)")
 
     def jordan(self, v):
         """Semisimple and nilpotent parts (v = s + n), both polynomials in v.
@@ -385,51 +383,6 @@ class SpecializedEnd:
         return _nullspace(mat, self.dim)
 
 
-def _solve_dependency(rows):
-    """If the last row depends linearly on the previous ones, return monic
-    polynomial coefficients (c_0..c_{m-1}, 1) expressing the dependency."""
-    m = len(rows) - 1
-    if m < 0:
-        return None
-    cols = [rows[i] for i in range(m)]
-    target = rows[m]
-    sol = _solve_linear(cols, target)
-    if sol is None:
-        return None
-    return [-c for c in sol] + [Fraction(1)]
-
-
-def _solve_linear(cols, target):
-    """Solve sum_i x_i cols[i] = target exactly over Q; None if unsolvable."""
-    if not cols:
-        return [] if all(c == 0 for c in target) else None
-    n = len(target)
-    m = len(cols)
-    a = [[cols[j][i] for j in range(m)] + [target[i]] for i in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, n):
-        if a[i][m] != 0:
-            return None
-    sol = [Fraction(0)] * m
-    for row, c in enumerate(piv_cols):
-        sol[c] = a[row][m]
-    return sol
-
-
 def _nullspace(mat, width):
     """Basis of the kernel of the stacked constraint matrix."""
     rows = [list(r) for r in mat if any(r)]
@@ -478,11 +431,21 @@ def jordan_split(a: InvariantMatrix, at: EvalPoint
     return sp.to_matrix(s), sp.to_matrix(n)
 
 
+def _trace_gram(alg: EndAlgebra):
+    """Gram matrix tr(B_i B_j) = sum_k c_ij^k tr(B_k), read from the
+    structure-constant table (trace is linear), and the basis traces."""
+    traces = [trace(b) for b in alg.basis]
+    gram = [[sum((c * tk for c, tk in zip(cij, traces) if not c.is_zero()),
+                 Poly.zero())
+             for cij in row] for row in alg.structure_constants()]
+    return gram, traces
+
+
 def trace_pairing(ctx, x: SetExpr):
     """Gram matrix <B_i,B_j> = tr(B_i B_j) on the orbit basis, its
     determinant, and the predicted value (-1)^r prod mu(Z_i)."""
     alg = EndAlgebra(ctx, x)
-    gram = [[trace(matmul(bi, bj)) for bj in alg.basis] for bi in alg.basis]
+    gram, _ = _trace_gram(alg)
     disc = _poly_det(gram)
     # transpose involution on orbits
     xx = product(x, x)
@@ -527,14 +490,14 @@ def _poly_det(m) -> Poly:
 def is_semisimple_end(ctx, x: SetExpr, at: EvalPoint, seed: int = 0) -> bool:
     """Discriminant nonzero at the point, plus the sanity check that the
     nilpotent parts of a few seeded elements have trace zero."""
-    _, disc, _, _ = trace_pairing(ctx, x)
-    if evaluate(disc, at) == 0:
+    alg = EndAlgebra(ctx, x)
+    gram, traces = _trace_gram(alg)
+    if evaluate(_poly_det(gram), at) == 0:
         return False
     import random
     rng = random.Random(seed)
-    alg = EndAlgebra(ctx, x)
     sp = alg.specialize(at)
-    tr_vec = [evaluate(trace(b), at) for b in alg.basis]
+    tr_vec = [evaluate(tk, at) for tk in traces]
     for _ in range(3):
         v = [Fraction(rng.randint(-3, 3)) for _ in range(alg.dim)]
         _, nil = sp.jordan(v)

@@ -136,28 +136,13 @@ class OrderContext:
     def measure(self, expr: SetExpr, pat: OrderPattern) -> Poly:
         """Product over the gaps between constants of the interval-power
         values; the whole line (no constants around) gets the split sum."""
-        e, d = self.spec.epsilon, self.spec.delta
-        # positions of constant-containing classes, and generic class counts
-        # for each gap between them
-        gaps = [0]
-        n_consts = 0
+        gaps = [0]  # generic class counts in the gaps between constants
         for cls in pat.classes:
             if any(i < 0 for i in cls):
-                n_consts += 1
                 gaps.append(0)
             else:
                 gaps[-1] += 1
-        total = 1
-        for gi, k in enumerate(gaps):
-            if n_consts == 0:
-                total *= _full_line_value(e, d, k)
-            elif gi == 0:
-                total *= e ** k if k else 1
-            elif gi == len(gaps) - 1:
-                total *= d ** k if k else 1
-            else:
-                total *= (-1) ** k
-        return Poly.const(total)
+        return Poly.const(_gap_product(self.spec, gaps))
 
     def set_measure(self, expr: SetExpr, level: int = 0) -> Poly:
         total = Poly.zero()
@@ -215,33 +200,15 @@ class OrderContext:
         # sitting in gaps between "pinned" classes
         referenced = {s for slots in mapdata.routes[pat.comp][1] for s in slots}
         pinned = []        # per class: True if it has a constant or a referenced slot
-        counts = []        # number of unreferenced slots per class
+        gaps = [0]         # classes with unreferenced slots between pinned ones
         for cls in pat.classes:
             has_pin = any(i < 0 or i in referenced for i in cls)
-            free = [i for i in cls if i >= 0 and i not in referenced]
             pinned.append(has_pin)
-            counts.append(len(free))
-        coeff = 1
-        gaps = [0]
-        n_pins = 0
-        for ci in range(len(pat.classes)):
-            if pinned[ci]:
-                n_pins += 1
+            if has_pin:
                 gaps.append(0)
-            else:
-                gaps[-1] += 1 if counts[ci] else 0
-        e, d = self.spec.epsilon, self.spec.delta
-        for gi, kk in enumerate(gaps):
-            if kk == 0:
-                continue
-            if n_pins == 0:
-                coeff *= _full_line_value(e, d, kk)
-            elif gi == 0:
-                coeff *= e ** kk
-            elif gi == len(gaps) - 1:
-                coeff *= d ** kk
-            else:
-                coeff *= (-1) ** kk
+            elif any(i >= 0 and i not in referenced for i in cls):
+                gaps[-1] += 1
+        coeff = _gap_product(self.spec, gaps)
         # classes that are partly referenced contribute single points (x1)
         s_res = 1
         res_groups = [g for g in src.sub_groups(pat.comp)
@@ -290,6 +257,19 @@ def _fixing(groups, k: int, classes: Classes) -> int:
     return sum(1 for w in perm_group(groups, k)
                if tuple(tuple(sorted(w[i] if i >= 0 else i for i in cls))
                         for cls in classes) == classes)
+
+
+def _gap_product(spec: OrderMeasureSpec, gaps: list[int]) -> int:
+    """Product of the interval-power values over the gaps between pinned
+    classes, k classes in each: the split sum on the whole line (one gap),
+    epsilon^k left of all pins, delta^k right of them, (-1)^k in between."""
+    e, d = spec.epsilon, spec.delta
+    if len(gaps) == 1:
+        return _full_line_value(e, d, gaps[0])
+    total = e ** gaps[0] * d ** gaps[-1]
+    for k in gaps[1:-1]:
+        total *= (-1) ** k
+    return total
 
 
 def _full_line_value(e: int, d: int, k: int) -> int:
@@ -360,7 +340,8 @@ def _weak_orders(items, separated, n_consts: int = 0):
 def parse_order_pattern(expr: SetExpr, s: str, ctx: OrderContext | None = None
                         ) -> OrderPattern:
     """Parse a token string like "r1<b1=r2<b2" (indexed tokens) or the bare
-    form "r<b=r<b" (occurrence order); constants are "#1", "#2", ..."""
+    form "r<b=r<b" (occurrence order); constants are "#1", "#2", ...
+    Raises ValueError unless the text names one of the orbits of expr."""
     ctx = ctx or OrderContext()
     m = re.fullmatch(r"(.*?)@r=(\d+)(#c(\d+))?", s.strip())
     if m:
@@ -368,6 +349,8 @@ def parse_order_pattern(expr: SetExpr, s: str, ctx: OrderContext | None = None
         comp = int(m.group(4)) if m.group(4) else 0
     else:
         body, level, comp = s.strip(), 0, 0
+    if comp >= expr.n_comps():
+        raise ValueError(f"no component {comp} in {expr.to_text()}")
     letters = "rbgycmwk"
     slot_of = {}
     for fi, slots in enumerate(expr.factor_slots(comp)):
@@ -381,7 +364,10 @@ def parse_order_pattern(expr: SetExpr, s: str, ctx: OrderContext | None = None
             for tok in cls_text.split("="):
                 tok = tok.strip()
                 if tok.startswith("#"):
-                    cls.append(-int(tok[1:]))
+                    const = int(tok[1:])
+                    if not 1 <= const <= level:
+                        raise ValueError(f"unknown constant {tok!r}")
+                    cls.append(-const)
                     continue
                 mt = re.fullmatch(r"([a-z])(\d*)", tok)
                 if not mt:
@@ -392,9 +378,14 @@ def parse_order_pattern(expr: SetExpr, s: str, ctx: OrderContext | None = None
                 else:
                     occurrence[letter] += 1
                     j = occurrence[letter]
+                if (letter, j) not in slot_of:
+                    raise ValueError(f"unknown token {tok!r}")
                 cls.append(slot_of[(letter, j)])
             classes.append(tuple(sorted(cls)))
-    return ctx.canonicalize(expr, OrderPattern(comp, level, tuple(classes)))
+    pat = ctx.canonicalize(expr, OrderPattern(comp, level, tuple(classes)))
+    if pat not in ctx.orbits(expr, level):
+        raise ValueError(f"{s!r} is not an orbit of {expr.to_text()}")
+    return pat
 
 
 # ---------------------------------------------------------------------------

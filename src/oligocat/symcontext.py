@@ -60,13 +60,14 @@ class SymPattern:
 
     @staticmethod
     def from_text(s: str) -> "SymPattern":
-        m = re.fullmatch(r"\[(.*)\]@N=(\d+)(#c(\d+))?", s.strip())
+        m = re.fullmatch(r"\[((\{[^{}]*\})(,\{[^{}]*\})*)?\]@N=(\d+)(#c(\d+))?",
+                         s.strip())
         if not m:
             raise ValueError(f"bad orbit text {s!r}")
-        level = int(m.group(2))
-        comp = int(m.group(4)) if m.group(4) else 0
+        level = int(m.group(4))
+        comp = int(m.group(6)) if m.group(6) else 0
         blocks = []
-        body = m.group(1)
+        body = m.group(1) or ""
         for part in re.findall(r"\{([^{}]*)\}", body):
             pin = None
             if "|pin=" in part:
@@ -266,8 +267,16 @@ class SymContext:
         return pat.to_text()
 
     def parse_orbit(self, expr: SetExpr, s: str) -> SymPattern:
+        """The orbit named by s; ValueError unless it is an orbit of expr."""
         pat = SymPattern.from_text(s)
-        return self.canonicalize(expr, pat)
+        if (pat.comp >= expr.n_comps()
+                or sorted(x for slots, _ in pat.blocks for x in slots)
+                != list(range(expr.slot_count(pat.comp)))):
+            raise ValueError(f"{s!r} does not fit the slots of {expr.to_text()}")
+        pat = self.canonicalize(expr, pat)
+        if pat not in self.orbits(expr, pat.level):
+            raise ValueError(f"{s!r} is not an orbit of {expr.to_text()}")
+        return pat
 
     def relabel_pins(self, expr: SetExpr, pat: SymPattern, sigma: dict[int, int]
                      ) -> SymPattern:

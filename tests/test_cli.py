@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
@@ -132,8 +134,24 @@ def test_glq_commands():
     ["glq", "--q", "2", "--what", "omega", "--bound", "-1"],
     ["verify", "--suite", "rado-demo", "--threads", "2"],
     ["verify", "--suite", "rado-demo", "--ctx", "sym"],
+    ["trace", "--ctx", "sym", "--matrix", "orbit:Power(1):[{1,2}]@N=0#c4"],
+    ["trace", "--ctx", "sym", "--matrix", "orbit:Power(1):[{1,5}]@N=0"],
+    ["trace", "--ctx", "sym", "--matrix", "orbit:Power(1):[{1}]@N=0"],
+    ["trace", "--ctx", "sym", "--matrix",
+     "orbit:Power(1):[{1}|pin=3,{2}]@N=0"],
+    ["trace", "--ctx", "order:-1,-1", "--matrix", "orbit:Power(1):z1<r1"],
+    ["trace", "--ctx", "order:-1,-1", "--matrix", "orbit:Power(1):r1@r=0"],
+    ["trace", "--ctx", "order:-1,-1", "--matrix",
+     "orbit:Power(1):r1<b1<r1@r=0"],
+    ["trace", "--ctx", "order:-1,-1", "--matrix",
+     "orbit:Power(1):#0<b1@r=0"],
+    ["fraisse", "--class", "boron", "--check", "measure", "--measure", "zz"],
 ], ids=["glq-context", "missing-table", "negative-level",
-        "negative-max-size", "negative-bound", "threads", "verify-ctx"])
+        "negative-max-size", "negative-bound", "threads", "verify-ctx",
+        "sym-orbit-component", "sym-orbit-slot", "sym-orbit-missing-slot",
+        "sym-orbit-junk", "order-orbit-token", "order-orbit-missing-slot",
+        "order-orbit-repeated-slot", "order-orbit-constant-0",
+        "boron-measure"])
 def test_refused_input_exits_2(argv):
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
@@ -146,3 +164,62 @@ def test_golden_stdout(case, capsys):
     """stdout is byte-identical to the recorded corpus."""
     assert cli.main(case["argv"]) == case["exit"]
     assert capsys.readouterr().out == case["stdout"]
+
+
+
+def _orbit_text_cases(st):
+    """Hypothesis strategy of (ctx, set, orbit text) for trace --matrix:
+    texts of real orbits, block and token strings that may or may not name
+    one, and junk."""
+    from oligocat import OrderContext, SymContext
+    from oligocat.setexpr import SetExpr, product
+
+    sets = ["Power(1)*Power(1)", "Inj(2)", "Sub(2)"]
+    ctxs = {"sym": SymContext(), "order:-1,-1": OrderContext(-1, -1)}
+
+    def real_orbit(name, x, level, i):
+        xx = product(SetExpr.from_text(x), SetExpr.from_text(x))
+        pats = ctxs[name].orbits(xx, level)
+        return name, x, ctxs[name].orbit_text(xx, pats[i % len(pats)])
+
+    num = st.integers(0, 6).map(str)
+    comp = st.sampled_from(["", "#c0", "#c1", "#c4"])
+    sym_block = st.builds(
+        lambda slots, pin: "{%s%s}" % (",".join(slots),
+                                        "" if pin is None else f"|pin={pin}"),
+        st.lists(num, max_size=3), st.one_of(st.none(), num))
+    sym_text = st.builds(
+        lambda blocks, level, c: "[%s]@N=%d%s" % (",".join(blocks), level, c),
+        st.lists(sym_block, max_size=4), st.integers(0, 2), comp)
+    token = st.builds(str.__add__, st.sampled_from(["r", "b", "z", "#"]),
+                      st.sampled_from(["", "0", "1", "2", "3"]))
+    order_text = st.builds(
+        lambda classes, level, c: "<".join("=".join(cls) for cls in classes)
+        + f"@r={level}{c}",
+        st.lists(st.lists(token, min_size=1, max_size=3), max_size=4),
+        st.integers(0, 2), comp)
+    junk = st.text(alphabet="[]{},|=<@#:Nrbcpin0123", max_size=16)
+    return st.one_of(
+        st.builds(real_orbit, st.sampled_from(sorted(ctxs)),
+                  st.sampled_from(sets), st.integers(0, 2),
+                  st.integers(0, 10 ** 6)),
+        st.tuples(st.sampled_from(sorted(ctxs)), st.sampled_from(sets),
+                  st.one_of(sym_text, order_text, junk)))
+
+
+def test_orbit_strings_never_raise():
+    """Generated orbit texts, valid or not, give exit 0 or 2 and no
+    exception, in both backends."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(_orbit_text_cases(hypothesis.strategies))
+    def run(case):
+        ctx, x, text = case
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["trace", "--ctx", ctx, "--matrix",
+                             f"orbit:{x}:{text}"])
+        assert code in (0, 2)
+
+    run()

@@ -10,7 +10,7 @@ from oligocat.matrixalg import (EndAlgebra, InvariantMatrix, char_series,
 from oligocat.ordercontext import OrderContext
 from oligocat.scalar import (EvalPoint, Poly, TruncatedSeries, binomial_poly,
                              binomial_series, evaluate)
-from oligocat.setexpr import power, product
+from oligocat.setexpr import inj, power, product
 from oligocat.symcontext import SymContext
 
 sym = SymContext()
@@ -131,6 +131,28 @@ def test_trace_pairing_r():
     assert disc == Poly.one() and predicted == disc and r == 1
 
 
+def test_trace_pairing_gram_matches_matmul():
+    """The Gram matrix read from the structure constants equals the direct
+    tr(B_i B_j) computed by composition."""
+    for ctx, x in [(sym, power(1)), (sym, inj(2)), (order, power(1))]:
+        gram, _, _, _ = trace_pairing(ctx, x)
+        basis = EndAlgebra(ctx, x).basis
+        assert gram == [[trace(matmul(bi, bj)) for bj in basis]
+                        for bi in basis]
+
+
+def test_min_poly_in_corner():
+    """With an idempotent e as unit, min_poly works in the corner eAe."""
+    alg = EndAlgebra(sym, power(1))
+    sp = alg.specialize(EvalPoint.rational(5))
+    e = sp.element(InvariantMatrix.all_ones(sym, power(1)).scale(
+        Fraction(1, 5)))
+    x = Poly.var()
+    assert sp.min_poly(e) == x * x - x
+    assert sp.min_poly(e, unit=e) == x - 1
+    assert sp.min_poly(sp.mul(e, e), unit=e) == x - 1
+
+
 def test_min_poly_and_jordan():
     a = InvariantMatrix.all_ones(sym, power(1))
     x = Poly.var()
@@ -192,6 +214,10 @@ def test_end_algebra_associativity():
     for ctx, x in [(sym, power(1)), (order, power(1))]:
         alg = EndAlgebra(ctx, x)
         assert alg.check_associativity()
+    # a perturbed structure constant breaks it
+    alg = EndAlgebra(sym, power(1))
+    alg.structure_constants()[1][1][0] += Poly.one()
+    assert not alg.check_associativity()
 
 
 def test_matrix_power_and_apply():
