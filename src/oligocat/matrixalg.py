@@ -108,18 +108,74 @@ class InvariantMatrix:
                                change_level(self.entries, level))
 
 
+# One composition table per (ctx, Z, Y, X, level): the Z x X projection and
+# the orbits of Z x X, both for pushing, and the orbits of Z x Y x X grouped
+# as rows[o_b][o_a] by their images o_b on Z x Y and o_a on Y x X.  Every
+# pattern it holds is the object that ctx.orbits returned.  On first use a
+# group is replaced by its pushforward to Z x X: a tuple of (image, summed
+# coefficient) pairs without zero sums.
+_compose_cache: dict = {}
+
+
+def _composition_table(ctx, z: SetExpr, y: SetExpr, x: SetExpr, level: int):
+    key = (ctx, z, y, x, level)
+    table = _compose_cache.get(key)
+    if table is None:
+        parts = [z, y, x]
+        pzy = GSetMap.proj_product(parts, [0, 1])
+        pyx = GSetMap.proj_product(parts, [1, 2])
+        pzx = GSetMap.proj_product(parts, [0, 2])
+        zy = {p: p for p in ctx.orbits(pzy.target, level)}
+        yx = {p: p for p in ctx.orbits(pyx.target, level)}
+        rows: dict = {}
+        for pat in ctx.orbits(pzy.source, level):
+            row = rows.setdefault(zy[ctx.image_orbit(pzy, pat)], {})
+            row.setdefault(yx[ctx.image_orbit(pyx, pat)], []).append(pat)
+        zx = {p: p for p in ctx.orbits(pzx.target, level)}
+        table = _compose_cache[key] = (pzx, zx, rows)
+    return table
+
+
+def _push_group(ctx, pzx: GSetMap, zx: dict, group: list) -> tuple:
+    """Pushforward to Z x X of the indicator of a group of orbits."""
+    sums: dict = {}
+    for pat in group:
+        image, coeff = ctx.push_orbit(pzx, pat)
+        image = zx[image]
+        sums[image] = sums[image] + coeff if image in sums else coeff
+    return tuple((image, c) for image, c in sums.items() if not c.is_zero())
+
+
 def matmul(b: InvariantMatrix, a: InvariantMatrix) -> InvariantMatrix:
-    """Composition b after a: integrate over the middle variable."""
+    """Composition b after a: integrate over the middle variable, that is,
+    push the product of the pullbacks of b and a along Z x Y x X -> Z x X,
+    read from the composition table of (Z, Y, X)."""
     if a.codomain != b.domain:
         raise ValueError("inner sets do not match")
+    ctx = a.ctx
     x, y, z = a.domain, a.codomain, b.codomain
     lvl = max(a.level, b.level)
-    pzy = GSetMap.proj_product([z, y, x], [0, 1])
-    pyx = GSetMap.proj_product([z, y, x], [1, 2])
-    pzx = GSetMap.proj_product([z, y, x], [0, 2])
-    big = (pullback(pzy, change_level(b.entries, lvl))
-           * pullback(pyx, change_level(a.entries, lvl)))
-    return InvariantMatrix(a.ctx, x, z, pushforward(pzx, big))
+    pzx, zx, rows = _composition_table(ctx, z, y, x, lvl)
+    a_terms = change_level(a.entries, lvl).terms
+    terms: dict = {}
+    for ob, cb in change_level(b.entries, lvl).terms.items():
+        row = rows.get(ob)
+        if row is None:
+            continue
+        for oa, ca in a_terms.items():
+            group = row.get(oa)
+            if group is None:
+                continue
+            if isinstance(group, list):
+                group = row[oa] = _push_group(ctx, pzx, zx, group)
+            if not group:
+                continue
+            c = cb * ca
+            for image, coeff in group:
+                term = c * coeff
+                terms[image] = terms[image] + term if image in terms else term
+    return InvariantMatrix(ctx, x, z,
+                           SchwartzFunction(ctx, pzx.target, lvl, terms))
 
 
 def trace(a: InvariantMatrix) -> Poly:
@@ -487,12 +543,21 @@ def _poly_det(m) -> Poly:
     return -det if sign < 0 else det
 
 
+def _singular_at(gram, at: EvalPoint) -> bool:
+    """Whether det(gram) vanishes at the point: the Gram entries are
+    evaluated first and the kernel is found over Q."""
+    values = [[evaluate(c, at) for c in row] for row in gram]
+    return bool(_nullspace(values, len(values)))
+
+
 def is_semisimple_end(ctx, x: SetExpr, at: EvalPoint, seed: int = 0) -> bool:
     """Discriminant nonzero at the point, plus the sanity check that the
     nilpotent parts of a few seeded elements have trace zero."""
+    if at.mode != "rational":
+        raise ValueError("semisimplicity test needs a rational evaluation point")
     alg = EndAlgebra(ctx, x)
     gram, traces = _trace_gram(alg)
-    if evaluate(_poly_det(gram), at) == 0:
+    if _singular_at(gram, at):
         return False
     import random
     rng = random.Random(seed)

@@ -341,7 +341,8 @@ def parse_order_pattern(expr: SetExpr, s: str, ctx: OrderContext | None = None
                         ) -> OrderPattern:
     """Parse a token string like "r1<b1=r2<b2" (indexed tokens) or the bare
     form "r<b=r<b" (occurrence order); constants are "#1", "#2", ...
-    Raises ValueError unless the text names one of the orbits of expr."""
+    Raises ValueError unless the text names one of the orbits of expr
+    (checked on the classes, without enumerating the orbits)."""
     ctx = ctx or OrderContext()
     m = re.fullmatch(r"(.*?)@r=(\d+)(#c(\d+))?", s.strip())
     if m:
@@ -382,10 +383,27 @@ def parse_order_pattern(expr: SetExpr, s: str, ctx: OrderContext | None = None
                     raise ValueError(f"unknown token {tok!r}")
                 cls.append(slot_of[(letter, j)])
             classes.append(tuple(sorted(cls)))
-    pat = ctx.canonicalize(expr, OrderPattern(comp, level, tuple(classes)))
-    if pat not in ctx.orbits(expr, level):
+    if not _is_weak_order(expr, comp, level, classes):
         raise ValueError(f"{s!r} is not an orbit of {expr.to_text()}")
-    return pat
+    return ctx.canonicalize(expr, OrderPattern(comp, level, tuple(classes)))
+
+
+def _is_weak_order(expr: SetExpr, comp: int, level: int, classes) -> bool:
+    """Whether classes is an orbit of the component at the level: every
+    slot and constant exactly once, no empty class, the constants in
+    increasing classes and never two in one, separated slots apart."""
+    items = sorted(i for cls in classes for i in cls)
+    if (items != list(range(-level, expr.slot_count(comp)))
+            or not all(classes)):
+        return False
+    # a sorted class lists its constants in decreasing order, so constants
+    # read in class order are 1..r only if no class holds two
+    if [-i for cls in classes for i in cls if i < 0] != list(
+            range(1, level + 1)):
+        return False
+    class_of = {i: ci for ci, cls in enumerate(classes) for i in cls}
+    return all(len({class_of[s] for s in g}) == len(g)
+               for g in expr.separated_groups(comp))
 
 
 # ---------------------------------------------------------------------------

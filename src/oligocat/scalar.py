@@ -52,6 +52,14 @@ class Poly:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
+    @staticmethod
+    def _of(cs: list) -> "Poly":
+        """The polynomial with coefficients cs, which must already be
+        Fractions with no trailing zero: nothing is converted or checked."""
+        p = object.__new__(Poly)
+        p.coeffs = tuple(cs)
+        return p
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -106,13 +114,21 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[k] + other[k] for k in range(n)])
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        cs = list(a)
+        for k, c in enumerate(b):
+            cs[k] += c
+        if len(b) == len(a):  # only equal degrees can cancel the top
+            while cs and cs[-1] == 0:
+                cs.pop()
+        return Poly._of(cs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -127,14 +143,21 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return Poly._of(())
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:  # a constant factor
+            c = b[0]
+            return Poly._of(a) if c == 1 else Poly._of([x * c for x in a])
+        # over Q the top coefficient a[-1] * b[-1] is never zero
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return Poly._of(out)
 
     __rmul__ = __mul__
 
@@ -150,7 +173,7 @@ class Poly:
         c = _frac(c)
         if c == 0:
             raise ZeroDivisionError("polynomial divided by zero scalar")
-        return Poly([a / c for a in self.coeffs])
+        return Poly._of([a / c for a in self.coeffs])
 
     def _coerce(self, other):
         if isinstance(other, Poly):

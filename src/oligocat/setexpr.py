@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 # A factor is (kind, arity) with kind in {"P", "I", "S"}.
 Factor = tuple[str, int]
@@ -60,30 +60,24 @@ class SetExpr:
     # -- slot geometry of one component --------------------------------
 
     def slot_count(self, c: int) -> int:
-        return sum(n for _, n in self.comps[c])
+        return _geometry(self.comps[c]).slot_count
 
-    def factor_slots(self, c: int) -> list[tuple[int, ...]]:
+    def factor_slots(self, c: int) -> tuple[tuple[int, ...], ...]:
         """Global slot ids of each factor, in order."""
-        out, base = [], 0
-        for _, n in self.comps[c]:
-            out.append(tuple(range(base, base + n)))
-            base += n
-        return out
+        return _geometry(self.comps[c]).factor_slots
 
-    def separated_groups(self, c: int) -> list[tuple[int, ...]]:
+    def separated_groups(self, c: int) -> tuple[tuple[int, ...], ...]:
         """Slot groups whose members must take pairwise distinct values."""
-        return [slots for (kind, _), slots in
-                zip(self.comps[c], self.factor_slots(c)) if kind in ("I", "S")]
+        return _geometry(self.comps[c]).separated_groups
 
-    def sub_groups(self, c: int) -> list[tuple[int, ...]]:
+    def sub_groups(self, c: int) -> tuple[tuple[int, ...], ...]:
         """Slot groups that are unordered (Sub factors)."""
-        return [slots for (kind, _), slots in
-                zip(self.comps[c], self.factor_slots(c)) if kind == "S"]
+        return _geometry(self.comps[c]).sub_groups
 
     def slot_symmetries(self, c: int) -> tuple[tuple[int, ...], ...]:
         """The group of slot permutations induced by Sub factors, as maps
         slot -> slot (identity off the Sub groups)."""
-        return perm_group(tuple(self.sub_groups(c)), self.slot_count(c))
+        return _geometry(self.comps[c]).slot_symmetries
 
     # -- text form ------------------------------------------------------
 
@@ -132,6 +126,29 @@ class SetExpr:
                 factors.append((_NAME_KINDS[m.group(1)], int(m.group(2))))
             comps.append(tuple(factors))
         return SetExpr(comps)
+
+
+class SlotGeometry(NamedTuple):
+    """The slot layout of one component, shared by every set containing it."""
+
+    slot_count: int
+    factor_slots: tuple[tuple[int, ...], ...]
+    separated_groups: tuple[tuple[int, ...], ...]
+    sub_groups: tuple[tuple[int, ...], ...]
+    slot_symmetries: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _geometry(comp: Component) -> SlotGeometry:
+    slots, base = [], 0
+    for _, n in comp:
+        slots.append(tuple(range(base, base + n)))
+        base += n
+    separated = tuple(g for (kind, _), g in zip(comp, slots)
+                      if kind in ("I", "S"))
+    subs = tuple(g for (kind, _), g in zip(comp, slots) if kind == "S")
+    return SlotGeometry(base, tuple(slots), separated, subs,
+                        perm_group(subs, base))
 
 
 @lru_cache(maxsize=None)

@@ -267,16 +267,24 @@ class SymContext:
         return pat.to_text()
 
     def parse_orbit(self, expr: SetExpr, s: str) -> SymPattern:
-        """The orbit named by s; ValueError unless it is an orbit of expr."""
+        """The orbit named by s; ValueError unless it is an orbit of expr:
+        the blocks partition the slots, no two slots of one Inj or Sub
+        factor share a block, and the pins are distinct and in 1..N."""
         pat = SymPattern.from_text(s)
         if (pat.comp >= expr.n_comps()
                 or sorted(x for slots, _ in pat.blocks for x in slots)
-                != list(range(expr.slot_count(pat.comp)))):
+                != list(range(expr.slot_count(pat.comp)))
+                or not all(slots for slots, _ in pat.blocks)):
             raise ValueError(f"{s!r} does not fit the slots of {expr.to_text()}")
-        pat = self.canonicalize(expr, pat)
-        if pat not in self.orbits(expr, pat.level):
+        block_of = {x: i for i, (slots, _) in enumerate(pat.blocks)
+                    for x in slots}
+        pins = [pin for _, pin in pat.blocks if pin is not None]
+        if (any(len({block_of[x] for x in g}) < len(g)
+                for g in expr.separated_groups(pat.comp))
+                or len(set(pins)) < len(pins)
+                or not all(1 <= pin <= pat.level for pin in pins)):
             raise ValueError(f"{s!r} is not an orbit of {expr.to_text()}")
-        return pat
+        return self.canonicalize(expr, pat)
 
     def relabel_pins(self, expr: SetExpr, pat: SymPattern, sigma: dict[int, int]
                      ) -> SymPattern:

@@ -167,6 +167,27 @@ def test_golden_stdout(case, capsys):
 
 
 
+def test_orbit_text_is_checked_without_enumerating(monkeypatch, capsys):
+    """An orbit text at a high level is checked on its blocks: the orbits
+    of X x X at that level are never enumerated."""
+    from oligocat.setexpr import SetExpr, product
+    from oligocat.symcontext import SymContext
+
+    xx = product(SetExpr.from_text("Power(1)"), SetExpr.from_text("Power(1)"))
+    calls = []
+    orbits = SymContext.orbits
+
+    def recording(self, expr, level):
+        calls.append((expr, level))
+        return orbits(self, expr, level)
+
+    monkeypatch.setattr(SymContext, "orbits", recording)
+    assert cli.main(["trace", "--ctx", "sym", "--matrix",
+                     "orbit:Power(1):[{1},{2}]@N=300"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert (xx, 300) not in calls
+
+
 def _orbit_text_cases(st):
     """Hypothesis strategy of (ctx, set, orbit text) for trace --matrix:
     texts of real orbits, block and token strings that may or may not name

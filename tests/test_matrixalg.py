@@ -1,16 +1,20 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from oligocat.category import PermObject, hom_basis
-from oligocat.integration import SchwartzFunction
-from oligocat.matrixalg import (EndAlgebra, InvariantMatrix, char_series,
+from oligocat.integration import (GSetMap, SchwartzFunction, change_level,
+                                  pullback, pushforward)
+from oligocat.matrixalg import (EndAlgebra, InvariantMatrix, _poly_det,
+                                _singular_at, _trace_gram, char_series,
                                 higher_trace, is_semisimple_end, jordan_split,
                                 matmul, matrix_power, min_poly, trace,
                                 trace_pairing)
 from oligocat.ordercontext import OrderContext
 from oligocat.scalar import (EvalPoint, Poly, TruncatedSeries, binomial_poly,
                              binomial_series, evaluate)
-from oligocat.setexpr import inj, power, product
+from oligocat.setexpr import inj, power, product, sub, union
 from oligocat.symcontext import SymContext
 
 sym = SymContext()
@@ -35,6 +39,59 @@ def order_end_basis():
                                SchwartzFunction.from_orbit(order, rr,
                                                            pats[classes]))
     return ind(((0,), (1,))), ind(((1,), (0,)))
+
+
+def matmul_by_pullback(b, a):
+    """The composition path matmul replaced: pull both factors back to
+    Z x Y x X, multiply pointwise and push the product to Z x X."""
+    x, y, z = a.domain, a.codomain, b.codomain
+    lvl = max(a.level, b.level)
+    pzy = GSetMap.proj_product([z, y, x], [0, 1])
+    pyx = GSetMap.proj_product([z, y, x], [1, 2])
+    pzx = GSetMap.proj_product([z, y, x], [0, 2])
+    big = (pullback(pzy, change_level(b.entries, lvl))
+           * pullback(pyx, change_level(a.entries, lvl)))
+    return InvariantMatrix(a.ctx, x, z, pushforward(pzx, big))
+
+
+COEFFS = [0, 0, 1, -1, 3, Fraction(1, 2), t - 2, t * t - 3 * t + 1]
+
+
+def seeded_matrix(ctx, x, y, rng, level=0):
+    """A matrix x -> y with seeded coefficients, about a quarter zero."""
+    yx = product(y, x)
+    terms = {pat: rng.choice(COEFFS) for pat in ctx.orbits(yx, level)}
+    return InvariantMatrix(ctx, x, y, SchwartzFunction(ctx, yx, level, terms))
+
+
+def test_matmul_matches_pullback_product_pushforward():
+    """Differential test of the composition table against the old path."""
+    sets = [power(1), power(2), inj(2), sub(2), union(power(1), sub(2))]
+    rng = random.Random(41)
+    for ctx in (sym, order):
+        # every set in every position, with a seeded partner pair
+        triples = [(s, rng.choice(sets[:4]), rng.choice(sets[:4]))
+                   for s in sets]
+        triples = [tr for s in triples for tr in (s, s[1:] + s[:1],
+                                                  s[2:] + s[:2])]
+        for z, y, x in triples:
+            a = seeded_matrix(ctx, x, y, rng)
+            b = seeded_matrix(ctx, y, z, rng)
+            assert matmul(b, a) == matmul_by_pullback(b, a)
+            zero = InvariantMatrix.zero(ctx, x, y)
+            assert matmul(b, zero).is_zero()
+            assert matmul(b, zero) == matmul_by_pullback(b, zero)
+        # mixed levels: a at level 0, b at level 1, and the other way
+        for z, y, x in [(power(1), power(1), power(1)),
+                        (sub(2), power(1), power(1)),
+                        (power(1), sub(2), union(power(1), sub(2)))]:
+            a = seeded_matrix(ctx, x, y, rng, level=0)
+            b = seeded_matrix(ctx, y, z, rng, level=1)
+            got = matmul(b, a)
+            assert got.level == 1 and got == matmul_by_pullback(b, a)
+            b0 = seeded_matrix(ctx, y, z, rng, level=0)
+            a1 = seeded_matrix(ctx, x, y, rng, level=1)
+            assert matmul(b0, a1) == matmul_by_pullback(b0, a1)
 
 
 def test_allones_square():
@@ -176,6 +233,25 @@ def test_is_semisimple():
     assert is_semisimple_end(order, power(1), EvalPoint.rational(7))
 
 
+def test_singular_at_matches_determinant():
+    """The kernel test over Q agrees with evaluating the Bareiss
+    determinant over Q[t]; both outcomes occur."""
+    cases = [(sym, power(1), range(7)), (sym, power(2), [0, 1, 2, 3, 7]),
+             (order, power(1), [0, 1, 7])]
+    outcomes = set()
+    for ctx, x, points in cases:
+        gram, _ = _trace_gram(EndAlgebra(ctx, x))
+        det = _poly_det(gram)
+        for n in points:
+            at = EvalPoint.rational(n)
+            singular = evaluate(det, at) == 0
+            assert _singular_at(gram, at) == singular
+            outcomes.add(singular)
+    assert outcomes == {True, False}
+    with pytest.raises(ValueError):
+        is_semisimple_end(sym, power(1), EvalPoint.modular(3, 5))
+
+
 def test_idempotent_char_series_factored():
     # semisimple at t0 = 5: product of (1 + c_i u)^{m_i} matches, exponents
     # summing to the measure of the set
@@ -195,15 +271,12 @@ def test_idempotent_char_series_factored():
 
 
 def test_min_poly_needs_rational_point():
-    import pytest
     a = InvariantMatrix.all_ones(sym, power(1))
     with pytest.raises(ValueError):
         min_poly(a, EvalPoint.generic())
 
 
 def test_trace_requires_square():
-    import pytest
-    from oligocat.integration import GSetMap
     from oligocat.setexpr import inj
     a = InvariantMatrix.from_graph(sym, GSetMap.coordinates(inj(2), [0]))
     with pytest.raises(ValueError):

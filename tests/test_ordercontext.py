@@ -1,10 +1,11 @@
 from math import factorial
 
 from oligocat.integration import SchwartzFunction, change_level, integrate
-from oligocat.ordercontext import (OrderContext, Symbol, ruffle_product,
+from oligocat.ordercontext import (OrderContext, OrderPattern, Symbol,
+                                   _weak_orders, ruffle_product,
                                    single_color_symbols, verify_symbol)
 from oligocat.scalar import Poly
-from oligocat.setexpr import inj, power, product, sub
+from oligocat.setexpr import inj, power, product, sub, union
 
 ctx = OrderContext(-1, -1)
 
@@ -25,6 +26,37 @@ def test_orbit_counts_oracle():
             ranks = sorted(set(vals))
             seen.add(tuple(ranks.index(v) for v in vals))
         assert len(ctx.orbits(power(n), 0)) == len(seen)
+
+
+def test_parse_orbit_accepts_exactly_the_orbits():
+    """The structural check of parse_orbit against enumeration: of all
+    weak orders of the slots and constants 1..r (constants in any order
+    and class), and of those missing an item, it accepts exactly the texts
+    naming an orbit."""
+    for expr in [product(power(1), power(1)), product(inj(2), power(1)),
+                 sub(2), union(power(1), sub(2))]:
+        for lvl in (0, 1, 2):
+            orbits = set(ctx.orbits(expr, lvl))
+            accepted = set()
+            for c in range(expr.n_comps()):
+                k = expr.slot_count(c)
+                # constant i enumerated as the plain item k + i - 1, so that
+                # the constants take every order
+                items = list(range(k + lvl))
+                for drop in [None] + items:
+                    kept = [i for i in items if i != drop]
+                    for labelled in _weak_orders(kept, []):
+                        classes = tuple(
+                            tuple(sorted(i if i < k else k - 1 - i
+                                         for i in cls)) for cls in labelled)
+                        text = OrderPattern(c, lvl, classes).to_text(expr)
+                        try:
+                            pat = ctx.parse_orbit(expr, text)
+                        except ValueError:
+                            continue
+                        assert drop is None and pat in orbits, text
+                        accepted.add(pat)
+            assert accepted == orbits
 
 
 def test_sub_square_orbits():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -133,3 +134,50 @@ def test_poly_division_helpers():
     q, r = p.divmod(t - 2)
     assert r.is_zero() and q == (t - 1) * (t - 2)
     assert binom_of(t - 1, 2) == (t - 1) * (t - 2) / 2
+
+
+def test_poly_against_sympy():
+    """+ - * /, divmod, gcd, squarefree_part and the text round trip agree
+    with sympy over QQ on generated polynomials."""
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    x = sympy.Symbol("x")
+
+    def to_sympy(p):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(p.coeffs)] or [0], x,
+                          domain="QQ")
+
+    def from_sympy(q):
+        return Poly([Fraction(int(c.p), int(c.q))
+                     for c in reversed(q.all_coeffs())])
+
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=7)
+    # small-degree factors, so that gcds and repeated roots occur
+    factor = st.lists(coeff, max_size=3).map(Poly)
+    poly = st.lists(factor, min_size=1, max_size=3).map(math.prod)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(poly, poly, coeff)
+    def check(a, b, c):
+        sa, sb = to_sympy(a), to_sympy(b)
+        assert a + b == from_sympy(sa + sb)
+        assert a - b == from_sympy(sa - sb)
+        assert -a == from_sympy(-sa)
+        assert a * b == from_sympy(sa * sb)
+        assert a * c == c * a == from_sympy(sa * to_sympy(Poly.const(c)))
+        if c:
+            assert a / c == from_sympy(sa * to_sympy(Poly.const(1 / c)))
+        assert Poly.from_text(a.to_text()) == a
+        if not b.is_zero():
+            q, r = a.divmod(b)
+            sq, sr = sympy.div(sa, sb)
+            assert (q, r) == (from_sympy(sq), from_sympy(sr))
+        g = sympy.gcd(sa, sb)
+        assert a.gcd(b) == (from_sympy(g.monic()) if not g.is_zero
+                            else Poly.zero())
+        if a.degree() > 0:
+            assert a.squarefree_part() == from_sympy(sa.sqf_part().monic())
+
+    check()

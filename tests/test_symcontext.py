@@ -1,9 +1,11 @@
 import random
+from itertools import product as iproduct
 from math import comb
 
 from oligocat.scalar import Poly, binomial_poly, falling_factorial
 from oligocat.setexpr import inj, one, power, product, sub, union
-from oligocat.symcontext import SymContext, SymPattern
+from oligocat.symcontext import (SymContext, SymPattern, _partitions,
+                                 _sort_blocks)
 
 ctx = SymContext()
 t = Poly.var()
@@ -112,6 +114,33 @@ def test_orbit_text_round_trip():
         for lvl in (0, 1, 2):
             for pat in ctx.orbits(expr, lvl):
                 assert ctx.parse_orbit(expr, pat.to_text()) == pat
+
+
+def test_parse_orbit_accepts_exactly_the_orbits():
+    """The structural check of parse_orbit against enumeration: of all
+    block texts (any partition, any pins in 0..N+1, repeated or not, and an
+    empty block), it accepts exactly those naming an orbit."""
+    for expr in [product(power(1), power(1)), product(inj(2), power(1)),
+                 sub(2), union(power(1), sub(2))]:
+        for lvl in (0, 1, 2):
+            orbits = set(ctx.orbits(expr, lvl))
+            accepted = set()
+            for c in range(expr.n_comps()):
+                k = expr.slot_count(c)
+                for part in _partitions(k, []):
+                    for pins in iproduct([None, *range(lvl + 2)],
+                                         repeat=len(part)):
+                        for extra in ([], [((), None)]):
+                            blocks = list(zip(part, pins)) + extra
+                            text = SymPattern(c, lvl,
+                                              _sort_blocks(blocks)).to_text()
+                            try:
+                                pat = ctx.parse_orbit(expr, text)
+                            except ValueError:
+                                continue
+                            assert pat in orbits, text
+                            accepted.add(pat)
+            assert accepted == orbits
 
 
 def test_orbit_text_example():
