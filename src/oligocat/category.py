@@ -15,7 +15,7 @@ import random
 from .scalar import EvalPoint, Poly, evaluate
 from .setexpr import SetExpr, product, one, union
 from .integration import GSetMap, SchwartzFunction, pullback, pushforward
-from .matrixalg import EndAlgebra, InvariantMatrix, matmul
+from .matrixalg import EndAlgebra, InvariantMatrix, matmul, trace
 
 
 class PermObject:
@@ -301,7 +301,7 @@ def idempotent_decompose(x: PermObject, at: EvalPoint, seed: int = 0):
     out = []
     for e in idems:
         mat = sp.to_matrix(e)
-        dim = evaluate(categorical_trace(mat), at)
+        dim = evaluate(trace(mat), at)
         out.append((mat, dim))
     out.sort(key=lambda md: sorted(
         (repr(p), c.to_text()) for p, c in md[0].entries.terms.items()))

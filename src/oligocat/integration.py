@@ -21,33 +21,16 @@ class GSetMap:
     single step.
     """
 
-    __slots__ = ("source", "target", "routes", "_symgroups")
+    __slots__ = ("source", "target", "routes")
 
-    def __init__(self, source: SetExpr, target: SetExpr, routes, symgroups=None):
+    def __init__(self, source: SetExpr, target: SetExpr, routes):
         self.source = source
         self.target = target
         self.routes = tuple((tc, tuple(tuple(a) for a in assigns))
                             for tc, assigns in routes)
         if len(self.routes) != source.n_comps():
             raise ValueError("every source component needs a route")
-        if symgroups is None:
-            symgroups = [self._infer_symgroups(c) for c in range(source.n_comps())]
-        self._symgroups = tuple(tuple(tuple(g) for g in gs) for gs in symgroups)
         self._validate()
-
-    def _infer_symgroups(self, c: int):
-        """Source Inj-factor slot groups feeding Sub targets (symmetrizations),
-        each once: a group feeding two Sub targets is one symmetry."""
-        tc, assigns = self.routes[c]
-        tfactors = self.target.comps[tc]
-        src_sub_slots = set()
-        for g in self.source.sub_groups(c):
-            src_sub_slots.update(g)
-        groups = set()
-        for (kind, _), slots in zip(tfactors, assigns):
-            if kind == "S" and slots and slots[0] not in src_sub_slots:
-                groups.add(tuple(sorted(slots)))
-        return sorted(groups)
 
     def _validate(self):
         for c, (tc, assigns) in enumerate(self.routes):
@@ -85,20 +68,17 @@ class GSetMap:
                                 "distinct-entry target fed by slots that are "
                                 "not guaranteed distinct")
 
-    def symmetrized_groups(self, c: int):
-        return self._symgroups[c]
-
     def __repr__(self):
         return (f"GSetMap({self.source.to_text()} -> {self.target.to_text()}, "
                 f"{self.routes})")
 
     def __eq__(self, other):
         return (isinstance(other, GSetMap)
-                and (self.source, self.target, self.routes, self._symgroups)
-                == (other.source, other.target, other.routes, other._symgroups))
+                and (self.source, self.target, self.routes)
+                == (other.source, other.target, other.routes))
 
     def __hash__(self):
-        return hash((self.source, self.target, self.routes, self._symgroups))
+        return hash((self.source, self.target, self.routes))
 
     # -- constructors ---------------------------------------------------
 
@@ -228,7 +208,6 @@ class GSetMap:
         if inner.target != self.source:
             raise ValueError("composition type mismatch")
         routes = []
-        symgroups = []
         for c in range(inner.source.n_comps()):
             mc, massigns = inner.routes[c]
             mid_slot_src = []
@@ -237,25 +216,19 @@ class GSetMap:
             tc, tassigns = self.routes[mc]
             assigns = [tuple(mid_slot_src[s] for s in slots) for slots in tassigns]
             routes.append((tc, assigns))
-            gs = {tuple(sorted(g)) for g in inner.symmetrized_groups(c)}
-            for g in self.symmetrized_groups(mc):
-                gs.add(tuple(sorted(mid_slot_src[s] for s in g)))
-            symgroups.append(sorted(gs))
-        return GSetMap(inner.source, self.target, routes, symgroups)
+        return GSetMap(inner.source, self.target, routes)
 
     def graph_map(self) -> "GSetMap":
         """x -> (f(x), x), landing in target x source (used for A_f)."""
         source, target = self.source, self.target
         graph_target = product(target, source)
         routes = []
-        symgroups = []
         for c in range(source.n_comps()):
             tc, assigns = self.routes[c]
             gidx = tc * source.n_comps() + c
             gassigns = list(assigns) + list(source.factor_slots(c))
             routes.append((gidx, gassigns))
-            symgroups.append(self.symmetrized_groups(c))
-        return GSetMap(source, graph_target, routes, symgroups)
+        return GSetMap(source, graph_target, routes)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ patterns: weak orders (ordered set partitions) on the coordinate slots and the
 constants.  The four measures assign a sign to each interval power and extend
 multiplicatively; all values are integer constants.
 
+The group preserves the order, so the points of an n-subset come ordered:
+the slots of a Sub factor always lie in distinct classes, and the one
+relabelling that puts them in increasing classes is the canonical form.  No
+slot permutation but the identity fixes a pattern.
+
 Also hosts the colored-order combinatorics: ruffle products of words and the
 sign-table symbols that classify the measures.
 """
@@ -16,7 +21,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .scalar import Poly
-from .setexpr import SetExpr, perm_group
+from .setexpr import SetExpr
 
 # Pattern classes are tuples of items; an item is a slot id >= 0 or -i for
 # the i-th pinned constant (so constants sort first within a class).
@@ -47,8 +52,8 @@ class OrderMeasureSpec:
 
 
 class OrderPattern:
-    """One stabilizer orbit: a weak order on slots and constants, canonical
-    under Sub-factor slot symmetries."""
+    """One stabilizer orbit: a weak order on slots and constants, with the
+    slots of each Sub factor in increasing classes."""
 
     __slots__ = ("comp", "level", "classes")
 
@@ -70,7 +75,6 @@ class OrderPattern:
 
     def to_text(self, expr: SetExpr | None = None) -> str:
         """Token string, e.g. "r1<b1=r2<b2"; constants appear as "#i"."""
-        letters = "rbgycmwk"
         factor_of = {}
         if expr is not None:
             for fi, slots in enumerate(expr.factor_slots(self.comp)):
@@ -84,8 +88,7 @@ class OrderPattern:
                     toks.append(f"#{-item}")
                 else:
                     fi, j = factor_of.get(item, (0, item))
-                    letter = letters[fi % len(letters)]
-                    toks.append(f"{letter}{j + 1}")
+                    toks.append(f"{_factor_letter(fi)}{j + 1}")
             names.append("=".join(toks))
         tag = f"@r={self.level}"
         if self.comp:
@@ -114,17 +117,15 @@ class OrderContext:
     # -- canonical form -------------------------------------------------
 
     def canonicalize(self, expr: SetExpr, pat: OrderPattern) -> OrderPattern:
-        syms = expr.slot_symmetries(pat.comp)
-        norm = tuple(tuple(sorted(c)) for c in pat.classes)
-        if len(syms) == 1:
-            return OrderPattern(pat.comp, pat.level, norm)
-        best = None
-        for w in syms:
-            cand = tuple(tuple(sorted(w[i] if i >= 0 else i for i in cls))
-                         for cls in pat.classes)
-            if best is None or cand < best:
-                best = cand
-        return OrderPattern(pat.comp, pat.level, best)
+        """Relabel each Sub factor's slots, taken in class order, onto the
+        factor's slot ids in increasing order."""
+        class_of = {i: ci for ci, cls in enumerate(pat.classes) for i in cls}
+        relabel = {}
+        for g in expr.sub_groups(pat.comp):
+            relabel.update(zip(sorted(g, key=class_of.__getitem__), g))
+        return OrderPattern(pat.comp, pat.level, tuple(
+            tuple(sorted(relabel.get(i, i) for i in cls))
+            for cls in pat.classes))
 
     # -- enumeration ----------------------------------------------------
 
@@ -154,7 +155,8 @@ class OrderContext:
 
     def refine(self, expr: SetExpr, pat: OrderPattern, level2: int
                ) -> list[OrderPattern]:
-        """New constants are appended above all existing ones."""
+        """New constants are appended above all existing ones; that never
+        reorders Sub slots, so the refined patterns stay canonical."""
         if level2 < pat.level:
             raise ValueError("refinement level must not decrease")
         pats = [pat]
@@ -163,7 +165,7 @@ class OrderContext:
             for p in pats:
                 nxt.extend(self._insert_constant(expr, p, newc))
             pats = nxt
-        return [self.canonicalize(expr, p) for p in pats]
+        return pats
 
     def _insert_constant(self, expr, pat, newc):
         """All placements of constant #newc above every existing constant."""
@@ -188,39 +190,19 @@ class OrderContext:
     # -- pushforward primitive -------------------------------------------
 
     def push_orbit(self, mapdata, pat: OrderPattern):
-        src = mapdata.source
-        image = self.image_orbit(mapdata, pat)
-        k = src.slot_count(pat.comp)
-
-        # multiplicity from symmetrized Inj factors
-        sym_groups = mapdata.symmetrized_groups(pat.comp)
-        m_sym = _fixing(sym_groups, k, pat.classes) if sym_groups else 1
-
-        # residual measure: classes without referenced slots or constants,
-        # sitting in gaps between "pinned" classes
+        """The fiber is the placements of the unreferenced classes in the
+        gaps between the pinned ones (a constant or a referenced slot);
+        no slot map but the identity fixes a pattern, so nothing is
+        divided out."""
         referenced = {s for slots in mapdata.routes[pat.comp][1] for s in slots}
-        pinned = []        # per class: True if it has a constant or a referenced slot
-        gaps = [0]         # classes with unreferenced slots between pinned ones
+        gaps = [0]
         for cls in pat.classes:
-            has_pin = any(i < 0 or i in referenced for i in cls)
-            pinned.append(has_pin)
-            if has_pin:
+            if any(i < 0 or i in referenced for i in cls):
                 gaps.append(0)
-            elif any(i >= 0 and i not in referenced for i in cls):
+            else:
                 gaps[-1] += 1
-        coeff = _gap_product(self.spec, gaps)
-        # classes that are partly referenced contribute single points (x1)
-        s_res = 1
-        res_groups = [g for g in src.sub_groups(pat.comp)
-                      if not any(s in referenced for s in g)]
-        if res_groups:
-            # residual pattern: unreferenced slots with pinned classes marked
-            marked = tuple(
-                tuple(sorted([i for i in cls if i >= 0 and i not in referenced]
-                             + ([-(ci + 1000)] if pinned[ci] else [])))
-                for ci, cls in enumerate(pat.classes))
-            s_res = _fixing(tuple(res_groups), k, marked)
-        return image, Poly.const(coeff) / s_res * m_sym
+        return (self.image_orbit(mapdata, pat),
+                Poly.const(_gap_product(self.spec, gaps)))
 
     def image_orbit(self, mapdata, pat: OrderPattern) -> OrderPattern:
         """Image pattern only (no fiber measure); the pullback workhorse."""
@@ -252,13 +234,6 @@ class OrderContext:
         return parse_order_pattern(expr, s, self)
 
 
-def _fixing(groups, k: int, classes: Classes) -> int:
-    """Number of slot maps of perm_group(groups, k) fixing the classes."""
-    return sum(1 for w in perm_group(groups, k)
-               if tuple(tuple(sorted(w[i] if i >= 0 else i for i in cls))
-                        for cls in classes) == classes)
-
-
 def _gap_product(spec: OrderMeasureSpec, gaps: list[int]) -> int:
     """Product of the interval-power values over the gaps between pinned
     classes, k classes in each: the split sum on the whole line (one gap),
@@ -285,32 +260,29 @@ def _full_line_value(e: int, d: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _order_orbits(expr: SetExpr, level: int) -> tuple[OrderPattern, ...]:
-    ctx = OrderContext()  # enumeration is measure-independent
+    """Canonical patterns generated directly: the constants and each Sub
+    factor's slots are chains, so every orbit comes out once."""
     out = []
+    consts = tuple(-i for i in range(1, level + 1))
     for c in range(expr.n_comps()):
-        k = expr.slot_count(c)
-        # constants first (they force their relative order during insertion)
-        items = [-i for i in range(1, level + 1)] + list(range(k))
-        seps = [set(g) for g in expr.separated_groups(c)]
-        seps.append(set(-i for i in range(1, level + 1)))
-        seen = set()
-        for classes in _weak_orders(items, seps, n_consts=level):
-            pat = ctx.canonicalize(expr, OrderPattern(c, level, classes))
-            if pat.classes not in seen:
-                seen.add(pat.classes)
-                out.append(pat)
+        items = list(consts) + list(range(expr.slot_count(c)))
+        chains = (consts,) + expr.sub_groups(c)
+        for classes in _weak_orders(items, expr.separated_groups(c), chains):
+            out.append(OrderPattern(c, level, classes))
     out.sort(key=lambda p: (p.comp, p.classes))
     return tuple(out)
 
 
-def _weak_orders(items, separated, n_consts: int = 0):
+def _weak_orders(items, separated, chains=()):
     """All ordered set partitions of `items` with each separated group's
-    members in pairwise distinct classes; the first n_consts items are the
-    constants -1..-n_consts and must appear in increasing constant order."""
+    members in pairwise distinct classes and each chain's members, taken
+    in chain order, in strictly increasing classes.  A chain's members
+    must come in chain order in `items`."""
     sep_of = {}
     for g in separated:
         for s in g:
             sep_of[s] = set(g) - {s}
+    prev_of = {b: a for chain in chains for a, b in zip(chain, chain[1:])}
 
     def rec(idx, classes):
         if idx == len(items):
@@ -318,12 +290,10 @@ def _weak_orders(items, separated, n_consts: int = 0):
             return
         item = items[idx]
         forbidden = sep_of.get(item, ())
-        if item < 0:
-            # constant: only positions after the previous constant's class
-            start = next((i + 1 for i in range(len(classes) - 1, -1, -1)
-                          if any(x < 0 for x in classes[i])), 0)
-        else:
-            start = 0
+        prev = prev_of.get(item)
+        # a chain member goes strictly above its predecessor's class
+        start = 0 if prev is None else 1 + next(
+            i for i, cls in enumerate(classes) if prev in cls)
         for pos in range(start, len(classes)):
             if not any(o in forbidden for o in classes[pos]):
                 classes[pos].append(item)
@@ -352,11 +322,10 @@ def parse_order_pattern(expr: SetExpr, s: str, ctx: OrderContext | None = None
         body, level, comp = s.strip(), 0, 0
     if comp >= expr.n_comps():
         raise ValueError(f"no component {comp} in {expr.to_text()}")
-    letters = "rbgycmwk"
     slot_of = {}
     for fi, slots in enumerate(expr.factor_slots(comp)):
         for j, sl in enumerate(slots):
-            slot_of[(letters[fi % len(letters)], j + 1)] = sl
+            slot_of[(_factor_letter(fi), j + 1)] = sl
     occurrence = Counter()
     classes = []
     if body and body != "()":
@@ -370,7 +339,7 @@ def parse_order_pattern(expr: SetExpr, s: str, ctx: OrderContext | None = None
                         raise ValueError(f"unknown constant {tok!r}")
                     cls.append(-const)
                     continue
-                mt = re.fullmatch(r"([a-z])(\d*)", tok)
+                mt = re.fullmatch(r"([a-z]'*)(\d*)", tok)
                 if not mt:
                     raise ValueError(f"bad token {tok!r}")
                 letter = mt.group(1)
@@ -386,6 +355,12 @@ def parse_order_pattern(expr: SetExpr, s: str, ctx: OrderContext | None = None
     if not _is_weak_order(expr, comp, level, classes):
         raise ValueError(f"{s!r} is not an orbit of {expr.to_text()}")
     return ctx.canonicalize(expr, OrderPattern(comp, level, tuple(classes)))
+
+
+def _factor_letter(fi: int) -> str:
+    """The token letter of factor fi: eight colours, then one prime per
+    wrap ("r'" for the 9th factor)."""
+    return "rbgycmwk"[fi % 8] + "'" * (fi // 8)
 
 
 def _is_weak_order(expr: SetExpr, comp: int, level: int, classes) -> bool:

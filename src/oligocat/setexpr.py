@@ -151,7 +151,6 @@ def _geometry(comp: Component) -> SlotGeometry:
                         perm_group(subs, base))
 
 
-@lru_cache(maxsize=None)
 def perm_group(groups: tuple[tuple[int, ...], ...], k: int
                ) -> tuple[tuple[int, ...], ...]:
     """Slot maps on 0..k-1 that rearrange each group in turn and fix every

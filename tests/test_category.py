@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from oligocat.category import (PermObject, balanced_axioms_report,
                                categorical_dimension, categorical_trace,
                                check_additivity, check_base_change,
@@ -11,7 +13,7 @@ from oligocat.category import (PermObject, balanced_axioms_report,
 from oligocat.integration import GSetMap, SchwartzFunction, projection_square
 from oligocat.matrixalg import InvariantMatrix, matmul, trace
 from oligocat.ordercontext import OrderContext
-from oligocat.scalar import EvalPoint, Poly
+from oligocat.scalar import EvalPoint, Poly, evaluate
 from oligocat.setexpr import inj, power, product, sub
 from oligocat.symcontext import SymContext
 
@@ -176,8 +178,17 @@ def test_idempotent_decomposition_sym():
                 key(i - a.scale(Fraction(1, 5)))})
 
 
+@pytest.mark.parametrize("ctx,x,at", [(sym, inj(2), 6), (order, sub(2), 7)],
+                         ids=["sym-Inj(2)", "order-Sub(2)"])
+def test_idempotent_dimensions_are_categorical_traces(ctx, x, at):
+    """The dimensions come from the matrix trace; the categorical trace
+    ev o (e x id) o cv is the oracle."""
+    point = EvalPoint.rational(at)
+    for e, dim in idempotent_decompose(PermObject(ctx, x), point):
+        assert dim == evaluate(categorical_trace(e), point)
+
+
 def test_idempotent_decompose_rejects_non_semisimple():
-    import pytest
     with pytest.raises(ArithmeticError):
         idempotent_decompose(PermObject(sym, power(1)), EvalPoint.rational(0))
 

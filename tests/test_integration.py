@@ -105,6 +105,13 @@ def test_push_transitivity():
         phi = SchwartzFunction.indicator(ctx, inj(3), 0)
         assert (pushforward(g.compose(f), phi)
                 == pushforward(g, pushforward(f, phi)))
+        # a symmetrisation, then a projection keeping or dropping its Sub
+        f = GSetMap.symmetrization(product(inj(2), power(1)))
+        phi = SchwartzFunction.indicator(ctx, f.source, 1)
+        for keep in ([0], [1]):
+            g = GSetMap.projection(f.target, keep)
+            assert (pushforward(g.compose(f), phi)
+                    == pushforward(g, pushforward(f, phi)))
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=["sym", "order"])

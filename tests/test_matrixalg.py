@@ -297,3 +297,45 @@ def test_matrix_power_and_apply():
     a = InvariantMatrix.all_ones(sym, power(1))
     assert matrix_power(a, 2) == a.scale(t)
     assert matrix_power(a, 0) == InvariantMatrix.identity(sym, power(1))
+
+
+def test_poly_det_against_sympy():
+    """The Bareiss determinant over Q[t] equals sympy's on seeded matrices
+    up to 4 x 4 with entries of degree at most 2, including zero leading
+    pivots that force a row swap and singular matrices."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("t")
+    rng = random.Random(17)
+
+    def entry():
+        if rng.random() < 0.3:
+            return Poly.zero()
+        return Poly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(rng.randint(1, 3))])
+
+    def to_sympy(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) * x ** i
+                    for i, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+    def from_sympy(e):
+        q = sympy.Poly(e, x, domain="QQ")
+        return Poly([Fraction(int(c.p), int(c.q))
+                     for c in reversed(q.all_coeffs())])
+
+    mats = [[[entry() for _ in range(n)] for _ in range(n)]
+            for n in (1, 2, 3, 4) for _ in range(12)]
+    for m in mats[12:]:
+        swapped = [row[:] for row in m]
+        swapped[0][0] = Poly.zero()
+        mats.append(swapped)
+        singular = [row[:] for row in m]
+        singular[-1] = [p * Poly.var() for p in singular[0]]
+        mats.append(singular)
+    mats.append([[Poly.zero(), Poly.one()], [Poly.one(), Poly.zero()]])
+    swaps = 0
+    for m in mats:
+        expect = from_sympy(sympy.Matrix(
+            [[to_sympy(p) for p in row] for row in m]).det(method="berkowitz"))
+        assert _poly_det(m) == expect
+        swaps += m[0][0].is_zero() and not expect.is_zero()
+    assert swaps > 0

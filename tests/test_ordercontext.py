@@ -1,11 +1,15 @@
 from math import factorial
 
-from oligocat.integration import SchwartzFunction, change_level, integrate
-from oligocat.ordercontext import (OrderContext, OrderPattern, Symbol,
-                                   _weak_orders, ruffle_product,
-                                   single_color_symbols, verify_symbol)
+import pytest
+
+from oligocat.integration import (GSetMap, SchwartzFunction, change_level,
+                                  integrate)
+from oligocat.ordercontext import (LEGAL_SPECS, OrderContext, OrderPattern,
+                                   Symbol, _gap_product, _weak_orders,
+                                   ruffle_product, single_color_symbols,
+                                   verify_symbol)
 from oligocat.scalar import Poly
-from oligocat.setexpr import inj, power, product, sub, union
+from oligocat.setexpr import inj, perm_group, power, product, sub, union
 
 ctx = OrderContext(-1, -1)
 
@@ -170,3 +174,165 @@ def test_symbol_negative_controls():
     all_zero = Symbol("a", dict.fromkeys(keys, 0))
     ok, _ = verify_symbol(all_zero, 2)
     assert not ok
+
+
+# -- the sort form against the slot-symmetry search it replaces -------------
+
+SUB_HEAVY = [(product(sub(2), sub(2), sub(2)), 1),
+             (product(sub(2), inj(2), sub(2)), 1),
+             (product(sub(3), sub(2)), 2),
+             (union(product(inj(2), sub(2)), sub(3)), 2),
+             (product(sub(4), power(1)), 2)]
+
+
+def _lexmin_canonicalize(expr, pat):
+    """The minimum of the classes over every Sub-factor slot permutation."""
+    best = min(tuple(tuple(sorted(w[i] if i >= 0 else i for i in cls))
+                     for cls in pat.classes)
+               for w in expr.slot_symmetries(pat.comp))
+    return OrderPattern(pat.comp, pat.level, best)
+
+
+def _labelled_weak_orders(expr, level):
+    """Every weak order of the slots and constants with separated slots
+    apart and the constants 1..r in strictly increasing classes."""
+    consts = [-i for i in range(1, level + 1)]
+    for c in range(expr.n_comps()):
+        seps = list(expr.separated_groups(c)) + [consts]
+        for classes in _weak_orders(consts + list(range(expr.slot_count(c))),
+                                    seps):
+            if [-i for cls in classes for i in cls if i < 0] == list(
+                    range(1, level + 1)):
+                yield OrderPattern(c, level, classes)
+
+
+@pytest.mark.parametrize("expr,level", SUB_HEAVY,
+                         ids=[e.to_text() for e, _ in SUB_HEAVY])
+def test_orbits_match_slot_symmetry_search(expr, level):
+    """Generating canonical patterns by chains gives exactly the orbits
+    that canonicalising every labelled weak order gives, and the sort form
+    equals the lex-min form on each labelled weak order."""
+    found = set()
+    for pat in _labelled_weak_orders(expr, level):
+        old = _lexmin_canonicalize(expr, pat)
+        assert ctx.canonicalize(expr, pat) == old
+        found.add(old)
+    orbits = ctx.orbits(expr, level)
+    assert len(orbits) == len(set(orbits))
+    assert set(orbits) == found
+
+
+def test_orbits_do_not_search_slot_symmetries(monkeypatch):
+    """Enumeration yields canonical patterns without canonicalising; the
+    slot-symmetry search finds the same 14,495 orbits."""
+    from oligocat.setexpr import SetExpr
+
+    def refuse(*args):
+        raise AssertionError("slot-symmetry search during enumeration")
+
+    monkeypatch.setattr(OrderContext, "canonicalize", refuse)
+    monkeypatch.setattr(SetExpr, "slot_symmetries", refuse)
+    assert len(ctx.orbits(product(sub(3), sub(2), sub(2)), 1)) == 14495
+
+
+def _fixing(groups, k, classes):
+    return sum(1 for w in perm_group(groups, k)
+               if tuple(tuple(sorted(w[i] if i >= 0 else i for i in cls))
+                        for cls in classes) == classes)
+
+
+def _symmetrized(f, c):
+    """Inj slot groups of the source feeding a Sub target factor."""
+    tc, assigns = f.routes[c]
+    sub_slots = {s for g in f.source.sub_groups(c) for s in g}
+    return {tuple(sorted(slots))
+            for (kind, _), slots in zip(f.target.comps[tc], assigns)
+            if kind == "S" and slots and slots[0] not in sub_slots}
+
+
+def _composite_symmetrized(outer, inner, c):
+    """The symmetrized groups of outer after inner, carried back to the
+    source slots of inner."""
+    mc, massigns = inner.routes[c]
+    mid = [s for slots in massigns for s in slots]
+    return _symmetrized(inner, c) | {tuple(sorted(mid[s] for s in g))
+                                     for g in _symmetrized(outer, mc)}
+
+
+def _fixing_push_coeff(spec_ctx, f, pat, sym_groups):
+    """The pushforward coefficient with the multiplicities of symmetrized
+    Inj factors and of unreferenced Sub factors divided out by counting
+    the slot maps that fix the pattern."""
+    k = f.source.slot_count(pat.comp)
+    groups = tuple(sorted(sym_groups))
+    m_sym = _fixing(groups, k, pat.classes) if groups else 1
+    referenced = {s for slots in f.routes[pat.comp][1] for s in slots}
+    pinned, gaps = [], [0]
+    for cls in pat.classes:
+        has_pin = any(i < 0 or i in referenced for i in cls)
+        pinned.append(has_pin)
+        if has_pin:
+            gaps.append(0)
+        elif any(i >= 0 and i not in referenced for i in cls):
+            gaps[-1] += 1
+    coeff = _gap_product(spec_ctx.spec, gaps)
+    s_res = 1
+    res_groups = tuple(g for g in f.source.sub_groups(pat.comp)
+                       if not any(s in referenced for s in g))
+    if res_groups:
+        marked = tuple(
+            tuple(sorted([i for i in cls if i >= 0 and i not in referenced]
+                         + ([-(ci + 1000)] if pinned[ci] else [])))
+            for ci, cls in enumerate(pat.classes))
+        s_res = _fixing(res_groups, k, marked)
+    return Poly.const(coeff) / s_res * m_sym
+
+
+def _push_cases():
+    """Maps with the symmetrized groups GSetMap used to infer or merge."""
+    plain = [GSetMap.symmetrization(inj(3)),
+             GSetMap(inj(2), product(sub(2), sub(2)), [(0, [(0, 1), (0, 1)])]),
+             GSetMap.projection(product(sub(2), power(1), sub(2)), [1, 2])]
+    cases = [(f, lambda c, f=f: _symmetrized(f, c)) for f in plain]
+    symm = GSetMap.symmetrization(product(inj(2), power(1)))
+    drop_sub = GSetMap.projection(symm.target, [1])
+    cases.append((drop_sub.compose(symm),
+                  lambda c: _composite_symmetrized(drop_sub, symm, c)))
+    s2 = GSetMap.symmetrization(inj(2))
+    cases.append((s2.graph_map(), lambda c: _symmetrized(s2, c)))
+    return cases
+
+
+@pytest.mark.parametrize("spec", LEGAL_SPECS)
+def test_push_coefficient_matches_fixing_count(spec):
+    """The coefficient is the gap product alone: the old division by the
+    stabiliser sizes of symmetrized and unreferenced Sub groups was 1."""
+    c = OrderContext(*spec)
+    for f, groups in _push_cases():
+        for level in (0, 1, 2):
+            for pat in c.orbits(f.source, level):
+                image, coeff = c.push_orbit(f, pat)
+                assert coeff == _fixing_push_coeff(c, f, pat,
+                                                   groups(pat.comp))
+                assert image == _lexmin_canonicalize(
+                    f.target, c.image_orbit(f, pat))
+
+
+def test_orbit_text_past_eight_factors():
+    """Factors 9 and later get primed letters, so every orbit text of
+    Power(5) x Power(5) names one orbit; built by hand, not enumerated."""
+    from oligocat import cli
+    xx = product(power(5), power(5))
+    slots = list(range(10))
+    pats = [OrderPattern(0, 0, tuple((s,) for s in slots)),
+            OrderPattern(0, 0, tuple((s,) for s in [8] + slots[1:8]
+                                     + [0, 9])),
+            OrderPattern(0, 1, ((0, 8), (-1,), tuple(slots[1:8]), (9,))),
+            OrderPattern(0, 2, ((9,), (-1, 0), (-2,) + tuple(slots[1:9])))]
+    texts = [ctx.orbit_text(xx, p) for p in pats]
+    assert len(set(texts)) == len(texts)
+    for p, text in zip(pats, texts):
+        assert ctx.parse_orbit(xx, text) == p
+    assert "r'1" in texts[0] and "b'1" in texts[0]
+    assert cli.main(["trace", "--ctx", "order", "--matrix",
+                     "orbit:Power(5):" + texts[1]]) == 0
