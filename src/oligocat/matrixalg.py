@@ -108,54 +108,42 @@ class InvariantMatrix:
                                change_level(self.entries, level))
 
 
-# One composition table per (ctx, Z, Y, X, level): the Z x X projection and
-# the orbits of Z x X, both for pushing, and the orbits of Z x Y x X grouped
-# as rows[o_b][o_a] by their images o_b on Z x Y and o_a on Y x X.  Every
-# pattern it holds is the object that ctx.orbits returned.  On first use a
-# group is replaced by its pushforward to Z x X: a tuple of (image, summed
-# coefficient) pairs without zero sums.
+# One composition table per (ctx, Z, Y, X, level).  Composition integrates
+# over the middle variable, so each coefficient of b after a is a fibre
+# measure over one orbit R of Z x X.  ctx.composition_terms extends every R
+# by the Y slots; the table groups its terms as rows[o_zy][o_yx] = ((R, c),
+# ...), with c the summed measure of the extensions whose restrictions are
+# o_zy on Z x Y and o_yx on Y x X, and zero sums dropped.
 _compose_cache: dict = {}
 
 
 def _composition_table(ctx, z: SetExpr, y: SetExpr, x: SetExpr, level: int):
     key = (ctx, z, y, x, level)
-    table = _compose_cache.get(key)
-    if table is None:
-        parts = [z, y, x]
-        pzy = GSetMap.proj_product(parts, [0, 1])
-        pyx = GSetMap.proj_product(parts, [1, 2])
-        pzx = GSetMap.proj_product(parts, [0, 2])
-        zy = {p: p for p in ctx.orbits(pzy.target, level)}
-        yx = {p: p for p in ctx.orbits(pyx.target, level)}
-        rows: dict = {}
-        for pat in ctx.orbits(pzy.source, level):
-            row = rows.setdefault(zy[ctx.image_orbit(pzy, pat)], {})
-            row.setdefault(yx[ctx.image_orbit(pyx, pat)], []).append(pat)
-        zx = {p: p for p in ctx.orbits(pzx.target, level)}
-        table = _compose_cache[key] = (pzx, zx, rows)
-    return table
-
-
-def _push_group(ctx, pzx: GSetMap, zx: dict, group: list) -> tuple:
-    """Pushforward to Z x X of the indicator of a group of orbits."""
-    sums: dict = {}
-    for pat in group:
-        image, coeff = ctx.push_orbit(pzx, pat)
-        image = zx[image]
-        sums[image] = sums[image] + coeff if image in sums else coeff
-    return tuple((image, c) for image, c in sums.items() if not c.is_zero())
+    rows = _compose_cache.get(key)
+    if rows is None:
+        sums: dict = {}
+        for o_zy, o_yx, image, coeff in ctx.composition_terms(z, y, x, level):
+            group = sums.setdefault(o_zy, {}).setdefault(o_yx, {})
+            group[image] = group[image] + coeff if image in group else coeff
+        rows = _compose_cache[key] = {
+            o_zy: {o_yx: tuple((image, c) for image, c in group.items()
+                               if not c.is_zero())
+                   for o_yx, group in row.items()}
+            for o_zy, row in sums.items()}
+    return rows
 
 
 def matmul(b: InvariantMatrix, a: InvariantMatrix) -> InvariantMatrix:
-    """Composition b after a: integrate over the middle variable, that is,
-    push the product of the pullbacks of b and a along Z x Y x X -> Z x X,
-    read from the composition table of (Z, Y, X)."""
+    """Composition b after a: (b a)(z, x) is the integral over y of
+    b(z, y) a(y, x).  The coefficient on an orbit R of Z x X is the sum of
+    c_b c_a times the fibre measure over R, over the support pairs of b on
+    Z x Y and a on Y x X, read from the composition table of (Z, Y, X)."""
     if a.codomain != b.domain:
         raise ValueError("inner sets do not match")
     ctx = a.ctx
     x, y, z = a.domain, a.codomain, b.codomain
     lvl = max(a.level, b.level)
-    pzx, zx, rows = _composition_table(ctx, z, y, x, lvl)
+    rows = _composition_table(ctx, z, y, x, lvl)
     a_terms = change_level(a.entries, lvl).terms
     terms: dict = {}
     for ob, cb in change_level(b.entries, lvl).terms.items():
@@ -164,10 +152,6 @@ def matmul(b: InvariantMatrix, a: InvariantMatrix) -> InvariantMatrix:
             continue
         for oa, ca in a_terms.items():
             group = row.get(oa)
-            if group is None:
-                continue
-            if isinstance(group, list):
-                group = row[oa] = _push_group(ctx, pzx, zx, group)
             if not group:
                 continue
             c = cb * ca
@@ -175,7 +159,7 @@ def matmul(b: InvariantMatrix, a: InvariantMatrix) -> InvariantMatrix:
                 term = c * coeff
                 terms[image] = terms[image] + term if image in terms else term
     return InvariantMatrix(ctx, x, z,
-                           SchwartzFunction(ctx, pzx.target, lvl, terms))
+                           SchwartzFunction(ctx, product(z, x), lvl, terms))
 
 
 def trace(a: InvariantMatrix) -> Poly:
@@ -287,10 +271,21 @@ class EndAlgebra:
                                                 0, terms))
 
     def structure_constants(self):
-        """c[i][j] = coordinates of basis_i * basis_j."""
+        """c[i][j] = coordinates of basis_i * basis_j: the rows of the
+        composition table of (X, X, X) at level 0."""
         if self._sc is None:
-            self._sc = [[self.matrix_to_vec(matmul(bi, bj)) for bj in self.basis]
-                        for bi in self.basis]
+            rows = _composition_table(self.ctx, self.x, self.x, self.x, 0)
+            index = {pat: k for k, pat in enumerate(self.orbit_list)}
+            self._sc = []
+            for oi in self.orbit_list:
+                row = rows.get(oi, {})
+                plane = []
+                for oj in self.orbit_list:
+                    vec = [Poly.zero()] * self.dim
+                    for image, c in row.get(oj, ()):
+                        vec[index[image]] = c
+                    plane.append(vec)
+                self._sc.append(plane)
         return self._sc
 
     def identity_vec(self) -> list[Poly]:

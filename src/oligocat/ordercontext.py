@@ -21,7 +21,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .scalar import Poly
-from .setexpr import SetExpr
+from .setexpr import SetExpr, product
 
 # Pattern classes are tuples of items; an item is a slot id >= 0 or -i for
 # the i-th pinned constant (so constants sort first within a class).
@@ -225,6 +225,78 @@ class OrderContext:
         img_classes = tuple(tuple(sorted(img[ci])) for ci in sorted(img))
         return self.canonicalize(tgt, OrderPattern(tcomp, pat.level, img_classes))
 
+    # -- composition primitive -------------------------------------------
+
+    def composition_terms(self, z: SetExpr, y: SetExpr, x: SetExpr,
+                          level: int):
+        """The fibres of Z x Y x X -> Z x X, orbit by orbit of Z x X.
+
+        Each Y item of a component of Y goes into a class of R or into a
+        new class in any gap; Y's separated groups take distinct classes and
+        each Y Sub group is a chain in strictly increasing classes, so every
+        orbit of Z x Y x X over R comes out once.  Yields (o_zy, o_yx, R,
+        coeff): the restrictions to Z x Y and Y x X, canonical as they come,
+        and coeff the sum over those extensions of the fibre measure
+        _gap_product(spec, gaps), the gaps counting the classes of Y items
+        only between the pinned classes (a constant or a Z or X item)."""
+        nx, ny = x.n_comps(), y.n_comps()
+        gap_values: dict = {}
+        weights: dict = {}
+        for r in self.orbits(product(z, x), level):
+            zc, xc = divmod(r.comp, nx)
+            kz = z.slot_count(zc)
+            top = kz + x.slot_count(xc)  # Y item j is top + j
+            for yc in range(ny):
+                ky = y.slot_count(yc)
+                # item -> its id on Z x Y and on Y x X; constants stay
+                zy_of = {i: i for i in range(-level, kz)}
+                yx_of = {i: i for i in range(-level, 0)}
+                for j in range(ky):
+                    zy_of[top + j] = kz + j
+                    yx_of[top + j] = j
+                for i in range(kz, top):
+                    yx_of[i] = ky + i - kz
+                # class -> (Y items only, its Z x Y class, its Y x X class)
+                split: dict = {}
+                sums: dict = {}
+                for classes in _weak_orders(
+                        range(top, top + ky),
+                        _shifted(y.separated_groups(yc), top),
+                        _shifted(y.sub_groups(yc), top), r.classes):
+                    gaps, zy, yx = [0], [], []
+                    for cls in classes:
+                        parts = split.get(cls)
+                        if parts is None:
+                            parts = split[cls] = (
+                                cls[0] >= top,
+                                tuple(zy_of[i] for i in cls if i in zy_of),
+                                tuple(sorted(yx_of[i] for i in cls
+                                             if i in yx_of)))
+                        y_only, czy, cyx = parts
+                        if y_only:
+                            gaps[-1] += 1
+                        else:
+                            gaps.append(0)
+                        if czy:
+                            zy.append(czy)
+                        if cyx:
+                            yx.append(cyx)
+                    gaps = tuple(gaps)
+                    value = gap_values.get(gaps)
+                    if value is None:
+                        value = gap_values[gaps] = _gap_product(self.spec,
+                                                                gaps)
+                    key = (tuple(zy), tuple(yx))
+                    sums[key] = sums.get(key, 0) + value
+                for (zy, yx), value in sums.items():
+                    if value:
+                        coeff = weights.get(value)
+                        if coeff is None:
+                            coeff = weights[value] = Poly.const(value)
+                        yield (OrderPattern(zc * ny + yc, level, zy),
+                               OrderPattern(yc * nx + xc, level, yx),
+                               r, coeff)
+
     # -- misc -------------------------------------------------------------
 
     def orbit_text(self, expr: SetExpr, pat: OrderPattern) -> str:
@@ -273,11 +345,21 @@ def _order_orbits(expr: SetExpr, level: int) -> tuple[OrderPattern, ...]:
     return tuple(out)
 
 
-def _weak_orders(items, separated, chains=()):
+def _shifted(groups, offset: int):
+    return tuple(tuple(offset + s for s in g) for g in groups)
+
+
+def _weak_orders(items, separated, chains=(), classes=()):
     """All ordered set partitions of `items` with each separated group's
     members in pairwise distinct classes and each chain's members, taken
     in chain order, in strictly increasing classes.  A chain's members
-    must come in chain order in `items`."""
+    must come in chain order in `items`.  Given `classes`, a weak order on
+    other items, yields its extensions instead: each item joins one of
+    those classes, which keep their order, or a new class in any gap.
+    A class lists the given items, then the added ones in the order of
+    `items`; so it comes out sorted when that order is increasing and
+    above the given items, or when, like the constants -1, -2, ..., the
+    items out of order never share a class."""
     sep_of = {}
     for g in separated:
         for s in g:
@@ -286,7 +368,7 @@ def _weak_orders(items, separated, chains=()):
 
     def rec(idx, classes):
         if idx == len(items):
-            yield tuple(tuple(sorted(c)) for c in classes)
+            yield tuple(tuple(c) for c in classes)
             return
         item = items[idx]
         forbidden = sep_of.get(item, ())
@@ -304,7 +386,7 @@ def _weak_orders(items, separated, chains=()):
             yield from rec(idx + 1, classes)
             classes.pop(pos)
 
-    yield from rec(0, [])
+    yield from rec(0, [list(cls) for cls in classes])
 
 
 def parse_order_pattern(expr: SetExpr, s: str, ctx: OrderContext | None = None

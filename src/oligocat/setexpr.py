@@ -77,7 +77,7 @@ class SetExpr:
     def slot_symmetries(self, c: int) -> tuple[tuple[int, ...], ...]:
         """The group of slot permutations induced by Sub factors, as maps
         slot -> slot (identity off the Sub groups)."""
-        return _geometry(self.comps[c]).slot_symmetries
+        return _slot_symmetries(self.comps[c])
 
     # -- text form ------------------------------------------------------
 
@@ -135,7 +135,6 @@ class SlotGeometry(NamedTuple):
     factor_slots: tuple[tuple[int, ...], ...]
     separated_groups: tuple[tuple[int, ...], ...]
     sub_groups: tuple[tuple[int, ...], ...]
-    slot_symmetries: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -147,8 +146,14 @@ def _geometry(comp: Component) -> SlotGeometry:
     separated = tuple(g for (kind, _), g in zip(comp, slots)
                       if kind in ("I", "S"))
     subs = tuple(g for (kind, _), g in zip(comp, slots) if kind == "S")
-    return SlotGeometry(base, tuple(slots), separated, subs,
-                        perm_group(subs, base))
+    return SlotGeometry(base, tuple(slots), separated, subs)
+
+
+@lru_cache(maxsize=None)
+def _slot_symmetries(comp: Component) -> tuple[tuple[int, ...], ...]:
+    """Built on first use: only the symmetric backend searches them."""
+    geometry = _geometry(comp)
+    return perm_group(geometry.sub_groups, geometry.slot_count)
 
 
 def perm_group(groups: tuple[tuple[int, ...], ...], k: int

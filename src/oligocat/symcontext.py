@@ -11,10 +11,10 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 
 from .scalar import Poly, falling_factorial
-from .setexpr import SetExpr
+from .setexpr import SetExpr, product
 
 # A pattern's blocks are a tuple of (slots, pin) with slots a sorted tuple of
 # slot ids and pin either an int in 1..N or None (generic).
@@ -261,6 +261,85 @@ class SymContext:
         return self.canonicalize(tgt, SymPattern(tcomp, pat.level,
                                                  _sort_blocks(img_blocks)))
 
+    # -- composition primitive -------------------------------------------
+
+    def composition_terms(self, z: SetExpr, y: SetExpr, x: SetExpr,
+                          level: int):
+        """The fibres of Z x Y x X -> Z x X, orbit by orbit of Z x X.
+
+        Each Y slot of a component of Y goes to a block of R, to a Y-only
+        block opened before, to a new generic block, or to a new block
+        pinned to a constant in 1..N that no other block uses; two slots of
+        one Y Inj or Sub factor never share a block.  Yields (o_zy, o_yx, R,
+        coeff): the canonical restrictions to Z x Y and Y x X, and coeff the
+        sum over those extensions of ff(N + g_R, g_new) / |H_Y|, with g_R
+        the generic blocks of R, g_new the new generic blocks and |H_Y| the
+        product of k! over Y's Sub(k) factors.  The extensions of R are
+        labelled, so an orbit P of Z x Y x X over R comes out
+        |H_Y| s_R / s_P times: the weights sum to push_orbit's
+        ff(N + g_R, g_new) s_R / s_P."""
+        nx, ny = x.n_comps(), y.n_comps()
+        zy_expr, yx_expr = product(z, y), product(y, x)
+        zy_canon: dict = {}  # canonical patterns by (component, raw blocks)
+        yx_canon: dict = {}
+        weights: dict = {}
+        partitions: dict = {}
+
+        def canon(memo, expr, comp, blocks):
+            pat = memo.get((comp, blocks))
+            if pat is None:
+                pat = memo[comp, blocks] = self.canonicalize(
+                    expr, SymPattern(comp, level, blocks))
+            return pat
+
+        for r in self.orbits(product(z, x), level):
+            zc, xc = divmod(r.comp, nx)
+            kz = z.slot_count(zc)
+            g_r = r.generic_count()
+            pins = [pin for _, pin in r.blocks]
+            free = [c for c in range(1, level + 1) if c not in pins]
+            z_part = [tuple(s for s in slots if s < kz)
+                      for slots, _ in r.blocks]
+            nb = len(r.blocks)
+            for yc in range(ny):
+                ky = y.slot_count(yc)
+                x_part = [tuple(ky + s - kz for s in slots if s >= kz)
+                          for slots, _ in r.blocks]
+                h_y = 1
+                for g in y.sub_groups(yc):
+                    h_y *= factorial(len(g))
+                if (yc, nb) not in partitions:
+                    partitions[yc, nb] = _partitions(
+                        ky, y.separated_groups(yc), nb)
+                counts: dict = {}
+                for part in partitions[yc, nb]:
+                    new = list(range(nb, len(part)))
+                    for new_pins in _partial_injections(new, free):
+                        zy, yx = [], []
+                        for i, ys in enumerate(part):
+                            if i < nb:
+                                pin, zs, xs = pins[i], z_part[i], x_part[i]
+                            else:
+                                pin, zs, xs = new_pins.get(i), (), ()
+                            if zs or ys:
+                                zy.append((zs + tuple(kz + j for j in ys),
+                                           pin))
+                            if ys or xs:
+                                yx.append((ys + xs, pin))
+                        key = (canon(zy_canon, zy_expr, zc * ny + yc,
+                                     tuple(zy)),
+                               canon(yx_canon, yx_expr, yc * nx + xc,
+                                     tuple(yx)),
+                               len(new) - len(new_pins))
+                        counts[key] = counts.get(key, 0) + 1
+                for (o_zy, o_yx, g_new), n in counts.items():
+                    wkey = (level + g_r, g_new, h_y)
+                    weight = weights.get(wkey)
+                    if weight is None:
+                        weight = weights[wkey] = (
+                            falling_factorial(level + g_r, g_new) / h_y)
+                    yield o_zy, o_yx, r, weight * n
+
     # -- misc -------------------------------------------------------------
 
     def orbit_text(self, expr: SetExpr, pat: SymPattern) -> str:
@@ -295,9 +374,11 @@ class SymContext:
                                                   _sort_blocks(blocks)))
 
 
-def _partitions(k: int, separated: list[tuple[int, ...]]):
+def _partitions(k: int, separated, fixed: int = 0):
     """All set partitions of slots 0..k-1 with each separated group's slots
-    in pairwise distinct blocks, as tuples of sorted slot tuples."""
+    in pairwise distinct blocks, as tuples of sorted slot tuples.  The first
+    `fixed` blocks are given and may stay empty: a slot joins one of them,
+    a block opened before or a new block."""
     sep_of = [set() for _ in range(k)]
     for g in separated:
         for s in g:
@@ -317,9 +398,7 @@ def _partitions(k: int, separated: list[tuple[int, ...]]):
         rec(slot + 1, blocks)
         blocks.pop()
 
-    rec(0, [])
-    if k == 0:
-        out.append(())
+    rec(0, [[] for _ in range(fixed)])
     return out
 
 

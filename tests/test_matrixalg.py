@@ -1,21 +1,25 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
+from itertools import product as iproduct
 
 import pytest
 
+from oligocat import matrixalg
 from oligocat.category import PermObject, hom_basis
 from oligocat.integration import (GSetMap, SchwartzFunction, change_level,
                                   pullback, pushforward)
-from oligocat.matrixalg import (EndAlgebra, InvariantMatrix, _poly_det,
+from oligocat.matrixalg import (EndAlgebra, InvariantMatrix,
+                                _composition_table, _poly_det,
                                 _singular_at, _trace_gram, char_series,
                                 higher_trace, is_semisimple_end, jordan_split,
                                 matmul, matrix_power, min_poly, trace,
                                 trace_pairing)
-from oligocat.ordercontext import OrderContext
+from oligocat.ordercontext import LEGAL_SPECS, OrderContext
 from oligocat.scalar import (EvalPoint, Poly, TruncatedSeries, binomial_poly,
                              binomial_series, evaluate)
 from oligocat.setexpr import inj, power, product, sub, union
-from oligocat.symcontext import SymContext
+from oligocat.symcontext import SymContext, SymPattern, _sort_blocks
 
 sym = SymContext()
 order = OrderContext(-1, -1)
@@ -52,6 +56,161 @@ def matmul_by_pullback(b, a):
     big = (pullback(pzy, change_level(b.entries, lvl))
            * pullback(pyx, change_level(a.entries, lvl)))
     return InvariantMatrix(a.ctx, x, z, pushforward(pzx, big))
+
+
+def composition_table_by_enumeration(ctx, z, y, x, level):
+    """The composition table matmul used to build: every orbit of
+    Z x Y x X, grouped by its images on Z x Y and Y x X and pushed to
+    Z x X, as rows[o_zy][o_yx] = {R: summed fibre measure}, zero sums and
+    empty groups dropped."""
+    parts = [z, y, x]
+    pzy = GSetMap.proj_product(parts, [0, 1])
+    pyx = GSetMap.proj_product(parts, [1, 2])
+    pzx = GSetMap.proj_product(parts, [0, 2])
+    groups = {}
+    for pat in ctx.orbits(pzy.source, level):
+        row = groups.setdefault(ctx.image_orbit(pzy, pat), {})
+        row.setdefault(ctx.image_orbit(pyx, pat), []).append(pat)
+    rows = {}
+    for o_zy, row in groups.items():
+        for o_yx, group in row.items():
+            sums = {}
+            for pat in group:
+                image, coeff = ctx.push_orbit(pzx, pat)
+                sums[image] = sums.get(image, Poly.zero()) + coeff
+            sums = {image: c for image, c in sums.items() if not c.is_zero()}
+            if sums:
+                rows.setdefault(o_zy, {})[o_yx] = sums
+    return rows
+
+
+ORDERS = [OrderContext(e, d) for e, d in LEGAL_SPECS]
+MIXED = union(power(1), sub(2))
+TABLE_CASES = (
+    [(ctx, z, y, x, 0) for ctx in [sym] + ORDERS for z, y, x in [
+        (power(2), power(2), power(2)), (MIXED, power(1), sub(2)),
+        (sub(2), MIXED, power(1)), (inj(2), sub(2), MIXED),
+        (MIXED, MIXED, MIXED), (sub(2), inj(2), sub(2))]]
+    + [(ctx, z, y, x, 1) for ctx in [sym] + ORDERS for z, y, x in [
+        (power(1), sub(2), power(1)), (power(2), inj(2), power(1)),
+        (MIXED, power(1), power(1)), (power(1), sub(2), inj(2))]]
+    + [(ctx, z, y, x, 2) for ctx in [sym] + ORDERS for z, y, x in [
+        (power(1), power(1), power(1)), (sub(2), power(1), MIXED)]]
+    + [(sym, power(2), sub(2), power(1), 2), (sym, sub(3), sub(3), sub(3), 0)])
+
+
+@pytest.mark.parametrize(
+    "ctx,z,y,x,level", TABLE_CASES,
+    ids=[f"{ctx!r}-{z.to_text()}|{y.to_text()}|{x.to_text()}@{level}"
+         for ctx, z, y, x, level in TABLE_CASES])
+def test_composition_table_matches_enumeration(ctx, z, y, x, level):
+    """Extending the orbits of Z x X by the Y slots gives the same rows as
+    enumerating Z x Y x X and pushing each group to Z x X."""
+    got = {o_zy: {o_yx: dict(group) for o_yx, group in row.items() if group}
+           for o_zy, row in _composition_table(ctx, z, y, x, level).items()}
+    assert got == composition_table_by_enumeration(ctx, z, y, x, level)
+
+
+def test_matmul_enumerates_no_orbit_of_zyx(monkeypatch):
+    """matmul and structure_constants work with image_orbit, push_orbit
+    and the orbits of Z x Y x X refused: composition extends the orbits of
+    Z x X and never pushes."""
+    rng = random.Random(43)
+    cases = [(sym, sub(2), power(1), inj(2)),
+             (sym, power(2), power(2), power(2)),
+             (order, power(2), power(2), power(2)),
+             (OrderContext(0, -1), MIXED, sub(2), MIXED)]
+    pairs = []
+    for ctx, z, y, x in cases:
+        a, b = seeded_matrix(ctx, x, y, rng), seeded_matrix(ctx, y, z, rng)
+        pairs.append((a, b, matmul_by_pullback(b, a)))
+    algebras = [EndAlgebra(order, sub(2)), EndAlgebra(sym, power(2))]
+    sc_expected = [[[alg.matrix_to_vec(matmul_by_pullback(bi, bj))
+                     for bj in alg.basis] for bi in alg.basis]
+                   for alg in algebras]
+
+    def refuse(*args):
+        raise AssertionError("pattern image or push during composition")
+
+    forbidden = {product(z, y, x) for _, z, y, x in cases}
+    forbidden.update(product(alg.x, alg.x, alg.x) for alg in algebras)
+    monkeypatch.setattr(matrixalg, "_compose_cache", {})
+    for cls in (SymContext, OrderContext):
+        orbits = cls.orbits
+
+        def guarded(self, expr, level, orbits=orbits):
+            assert expr not in forbidden, "orbits of Z x Y x X enumerated"
+            return orbits(self, expr, level)
+
+        monkeypatch.setattr(cls, "orbits", guarded)
+        monkeypatch.setattr(cls, "image_orbit", refuse)
+        monkeypatch.setattr(cls, "push_orbit", refuse)
+    for a, b, expected in pairs:
+        assert matmul(b, a) == expected
+    assert [alg.structure_constants() for alg in algebras] == sc_expected
+
+
+def _points(expr, n):
+    """The points of a declared set over [n]: (component, slot values),
+    a Sub factor's values as an increasing tuple."""
+    out = []
+    for c, comp in enumerate(expr.comps):
+        choices = [list(iproduct(range(1, n + 1), repeat=k)) if kind == "P"
+                   else list(permutations(range(1, n + 1), k)) if kind == "I"
+                   else list(combinations(range(1, n + 1), k))
+                   for kind, k in comp]
+        out.extend((c, sum(vals, ())) for vals in iproduct(*choices))
+    return out
+
+
+def _orbit_of(expr, p, q, nq, level):
+    """The orbit of the point (p, q) of expr = P x Q, Q with nq components,
+    under the stabiliser of 1..level in S_n: equal values share a block,
+    and a value up to the level pins its block."""
+    blocks = {}
+    for slot, v in enumerate(p[1] + q[1]):
+        blocks.setdefault(v, []).append(slot)
+    pat = SymPattern(p[0] * nq + q[0], level, _sort_blocks(
+        (tuple(slots), v if v <= level else None)
+        for v, slots in blocks.items()))
+    return sym.canonicalize(expr, pat)
+
+
+def test_matmul_matches_finite_symmetric_group():
+    """At t = n, matmul of two orbit-indicator matrices of the sym backend
+    is the product of the 0/1 orbit matrices over [n]: entry (z, x) counts
+    the y with (z, y) and (y, x) in the two orbits, at levels 0 and 1."""
+    n = 4
+    at = EvalPoint.rational(n)
+    sets = [power(1), inj(2), sub(2), MIXED]
+    for level in (0, 1):
+        for z, y, x in iproduct(sets, repeat=3):
+            pz, py, px = _points(z, n), _points(y, n), _points(x, n)
+            zy, yx, zx = product(z, y), product(y, x), product(z, x)
+            o_zy = [[_orbit_of(zy, p, q, y.n_comps(), level) for q in py]
+                    for p in pz]
+            o_yx = [[_orbit_of(yx, p, q, x.n_comps(), level) for q in px]
+                    for p in py]
+            basis_a = [(oa, InvariantMatrix(
+                sym, x, y, SchwartzFunction.from_orbit(sym, yx, oa)))
+                for oa in sym.orbits(yx, level)]
+            expected = {}
+            for ob in sym.orbits(zy, level):
+                b = InvariantMatrix(sym, y, z,
+                                    SchwartzFunction.from_orbit(sym, zy, ob))
+                for oa, a in basis_a:
+                    for r, c in matmul(b, a).entries.terms.items():
+                        v = evaluate(c, at)
+                        if v:
+                            expected.setdefault(r, {})[ob, oa] = v
+            for i, p in enumerate(pz):
+                for k, q in enumerate(px):
+                    counts = {}
+                    for j in range(len(py)):
+                        key = (o_zy[i][j], o_yx[j][k])
+                        counts[key] = counts.get(key, 0) + 1
+                    r = _orbit_of(zx, p, q, x.n_comps(), level)
+                    assert counts == expected.get(r, {}), (z, y, x, level)
 
 
 COEFFS = [0, 0, 1, -1, 3, Fraction(1, 2), t - 2, t * t - 3 * t + 1]

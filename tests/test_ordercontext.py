@@ -235,6 +235,30 @@ def test_orbits_do_not_search_slot_symmetries(monkeypatch):
     assert len(ctx.orbits(product(sub(3), sub(2), sub(2)), 1)) == 14495
 
 
+def test_order_backend_builds_no_slot_group(monkeypatch):
+    """The Sub-factor permutation group is built on first use, which only
+    the sym backend makes: with perm_group refusing, the slot geometry,
+    enumeration and composition of the order backend work on Sub-heavy
+    sets."""
+    from oligocat import matrixalg, setexpr
+    from oligocat.matrixalg import EndAlgebra, InvariantMatrix, matmul
+
+    def refuse(*args):
+        raise AssertionError("slot-permutation group built")
+
+    monkeypatch.setattr(setexpr, "perm_group", refuse)
+    monkeypatch.setattr(matrixalg, "_compose_cache", {})
+    setexpr._geometry.cache_clear()
+    big = setexpr.SetExpr.from_text("Sub(5)*Sub(5)*Sub(3)")
+    assert big.slot_count(0) == 13
+    assert len(ctx.orbits(product(sub(3), sub(3)), 1)) == 705
+    # integrating 1 over Y = Sub(2), of measure 1, leaves all ones
+    ones = SchwartzFunction.indicator(ctx, product(sub(3), sub(2)), 1)
+    b = InvariantMatrix(ctx, sub(2), sub(3), ones)
+    assert matmul(b, InvariantMatrix.all_ones(ctx, sub(2), 1)).entries == ones
+    assert len(EndAlgebra(ctx, sub(2)).structure_constants()) == 13
+
+
 def _fixing(groups, k, classes):
     return sum(1 for w in perm_group(groups, k)
                if tuple(tuple(sorted(w[i] if i >= 0 else i for i in cls))
