@@ -55,12 +55,13 @@ class OrderPattern:
     """One stabilizer orbit: a weak order on slots and constants, with the
     slots of each Sub factor in increasing classes."""
 
-    __slots__ = ("comp", "level", "classes")
+    __slots__ = ("comp", "level", "classes", "_hash")
 
     def __init__(self, comp: int, level: int, classes: Classes):
         self.comp = comp
         self.level = level
         self.classes = classes
+        self._hash = None  # computed on the first __hash__
 
     def __eq__(self, other):
         return (isinstance(other, OrderPattern) and
@@ -68,7 +69,10 @@ class OrderPattern:
                 == (other.comp, other.level, other.classes))
 
     def __hash__(self):
-        return hash((self.comp, self.level, self.classes))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.comp, self.level, self.classes))
+        return h
 
     def __repr__(self):
         return f"OrderPattern({self.to_text(None)!r})"
@@ -137,19 +141,11 @@ class OrderContext:
     def measure(self, expr: SetExpr, pat: OrderPattern) -> Poly:
         """Product over the gaps between constants of the interval-power
         values; the whole line (no constants around) gets the split sum."""
-        gaps = [0]  # generic class counts in the gaps between constants
-        for cls in pat.classes:
-            if any(i < 0 for i in cls):
-                gaps.append(0)
-            else:
-                gaps[-1] += 1
-        return Poly.const(_gap_product(self.spec, gaps))
+        return Poly.const(_gap_product(self.spec, _gaps(pat.classes)))
 
     def set_measure(self, expr: SetExpr, level: int = 0) -> Poly:
-        total = Poly.zero()
-        for pat in self.orbits(expr, level):
-            total = total + self.measure(expr, pat)
-        return total
+        return Poly.const(sum(_gap_product(self.spec, _gaps(pat.classes))
+                              for pat in self.orbits(expr, level)))
 
     # -- level refinement ----------------------------------------------
 
@@ -195,14 +191,9 @@ class OrderContext:
         no slot map but the identity fixes a pattern, so nothing is
         divided out."""
         referenced = {s for slots in mapdata.routes[pat.comp][1] for s in slots}
-        gaps = [0]
-        for cls in pat.classes:
-            if any(i < 0 or i in referenced for i in cls):
-                gaps.append(0)
-            else:
-                gaps[-1] += 1
         return (self.image_orbit(mapdata, pat),
-                Poly.const(_gap_product(self.spec, gaps)))
+                Poly.const(_gap_product(self.spec,
+                                        _gaps(pat.classes, referenced))))
 
     def image_orbit(self, mapdata, pat: OrderPattern) -> OrderPattern:
         """Image pattern only (no fiber measure); the pullback workhorse."""
@@ -304,6 +295,18 @@ class OrderContext:
 
     def parse_orbit(self, expr: SetExpr, s: str) -> OrderPattern:
         return parse_order_pattern(expr, s, self)
+
+
+def _gaps(classes: Classes, referenced=()) -> list[int]:
+    """The counts of unpinned classes in the gaps between the pinned ones:
+    a class is pinned when it holds a constant or a referenced slot."""
+    gaps = [0]
+    for cls in classes:
+        if any(i < 0 or i in referenced for i in cls):
+            gaps.append(0)
+        else:
+            gaps[-1] += 1
+    return gaps
 
 
 def _gap_product(spec: OrderMeasureSpec, gaps: list[int]) -> int:

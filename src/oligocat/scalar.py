@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial, gcd as _int_gcd
 from typing import Iterable, Union
 
@@ -442,6 +442,7 @@ def evaluate(x: Poly, at: EvalPoint):
 # Classical polynomial families
 
 
+@lru_cache(maxsize=None)
 def falling_factorial(shift: int, length: int) -> Poly:
     """(t-shift)(t-shift-1)...(t-shift-length+1); the empty product is 1."""
     if shift < 0 or length < 0:

@@ -74,11 +74,6 @@ class SetExpr:
         """Slot groups that are unordered (Sub factors)."""
         return _geometry(self.comps[c]).sub_groups
 
-    def slot_symmetries(self, c: int) -> tuple[tuple[int, ...], ...]:
-        """The group of slot permutations induced by Sub factors, as maps
-        slot -> slot (identity off the Sub groups)."""
-        return _slot_symmetries(self.comps[c])
-
     # -- text form ------------------------------------------------------
 
     def to_text(self) -> str:
@@ -147,13 +142,6 @@ def _geometry(comp: Component) -> SlotGeometry:
                       if kind in ("I", "S"))
     subs = tuple(g for (kind, _), g in zip(comp, slots) if kind == "S")
     return SlotGeometry(base, tuple(slots), separated, subs)
-
-
-@lru_cache(maxsize=None)
-def _slot_symmetries(comp: Component) -> tuple[tuple[int, ...], ...]:
-    """Built on first use: only the symmetric backend searches them."""
-    geometry = _geometry(comp)
-    return perm_group(geometry.sub_groups, geometry.slot_count)
 
 
 def perm_group(groups: tuple[tuple[int, ...], ...], k: int

@@ -4,14 +4,31 @@ Orbits of the pointwise stabilizer of {1..N} on a declared set are described
 by patterns: a partition of the coordinate slots into blocks (equal values),
 with some blocks pinned to constants in {1..N} and the rest generic (pairwise
 distinct, avoiding {1..N}).  The level N is the group of definition.
+
+A Sub factor's slots are separated, so each block holds at most one slot of
+each Sub(k) factor.  Give each block its signature: its pin, its non-Sub
+slots and the set of Sub factors it meets.  Two patterns lie in one orbit of
+the Sub-factor slot group exactly when their multisets of signatures agree:
+match blocks of equal signature, and the slot map sending each block's Sub
+slots to its partner's is in the group, because every slot of a Sub factor
+lies in exactly one block.  A slot map fixing a pattern fixes every block
+that holds a pin or a non-Sub slot and may permute the other generic blocks
+among those meeting the same Sub factors, each permutation by exactly one
+slot map; so |Stab| is the product of m! over those classes of m blocks.
+The canonical form is the lex-min image under the slot group, built from
+the signatures without searching it: pinned blocks in pin order, then
+repeatedly the generic block with the least slots, each block taking the
+least free slot of every Sub factor it meets.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .scalar import Poly, falling_factorial
 from .setexpr import SetExpr, product
@@ -25,12 +42,13 @@ class SymPattern:
     """One stabilizer orbit on a component of a declared set, in canonical
     form (unique under Sub-factor slot symmetries and block ordering)."""
 
-    __slots__ = ("comp", "level", "blocks")
+    __slots__ = ("comp", "level", "blocks", "_hash")
 
     def __init__(self, comp: int, level: int, blocks: Blocks):
         self.comp = comp
         self.level = level
         self.blocks = blocks
+        self._hash = None  # computed on the first __hash__
 
     def __eq__(self, other):
         return (isinstance(other, SymPattern) and
@@ -38,7 +56,10 @@ class SymPattern:
                 == (other.comp, other.level, other.blocks))
 
     def __hash__(self):
-        return hash((self.comp, self.level, self.blocks))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.comp, self.level, self.blocks))
+        return h
 
     def __repr__(self):
         return f"SymPattern({self.to_text()!r})"
@@ -111,32 +132,18 @@ class SymContext:
     # -- canonical form -------------------------------------------------
 
     def canonicalize(self, expr: SetExpr, pat: SymPattern) -> SymPattern:
-        syms = expr.slot_symmetries(pat.comp)
-        if len(syms) == 1:
+        subs = expr.sub_groups(pat.comp)
+        if not subs:
             return SymPattern(pat.comp, pat.level, _sort_blocks(pat.blocks))
-        best = None
-        best_key = None
-        for w in syms:
-            moved = [(tuple(w[s] for s in slots), pin) for slots, pin in pat.blocks]
-            cand = _sort_blocks(moved)
-            key = _blocks_key(cand)
-            if best is None or key < best_key:
-                best, best_key = cand, key
-        return SymPattern(pat.comp, pat.level, best)
+        return SymPattern(pat.comp, pat.level, _canonical_blocks(
+            _signature(pat.blocks, _sub_owner(subs)), subs))
 
     def stabilizer_order(self, expr: SetExpr, pat: SymPattern) -> int:
         """Number of Sub-factor slot symmetries fixing (partition, pins)."""
-        syms = expr.slot_symmetries(pat.comp)
-        if len(syms) == 1:
+        subs = expr.sub_groups(pat.comp)
+        if not subs:
             return 1
-        ref = frozenset((frozenset(s), p) for s, p in pat.blocks)
-        count = 0
-        for w in syms:
-            moved = frozenset((frozenset(w[s] for s in slots), pin)
-                              for slots, pin in pat.blocks)
-            if moved == ref:
-                count += 1
-        return count
+        return _stabilizer_order(_signature(pat.blocks, _sub_owner(subs)))
 
     # -- enumeration ----------------------------------------------------
 
@@ -145,19 +152,24 @@ class SymContext:
 
     @lru_cache(maxsize=None)
     def _orbits_cached(self, expr: SetExpr, level: int) -> tuple[SymPattern, ...]:
+        """Every labelled partition with pins, one per signature multiset."""
         out = []
         for c in range(expr.n_comps()):
-            k = expr.slot_count(c)
-            seps = expr.separated_groups(c)
+            subs = expr.sub_groups(c)
+            owner = _sub_owner(subs)
             seen = set()
-            for part in _partitions(k, seps):
+            for part in _partitions(expr.slot_count(c),
+                                    expr.separated_groups(c)):
                 for pins in _pin_assignments(len(part), level):
-                    blocks = _sort_blocks(
-                        [(part[i], pins.get(i)) for i in range(len(part))])
-                    pat = self.canonicalize(expr, SymPattern(c, level, blocks))
-                    if pat.blocks not in seen:
-                        seen.add(pat.blocks)
-                        out.append(pat)
+                    blocks = [(part[i], pins.get(i)) for i in range(len(part))]
+                    if not subs:  # distinct labelled patterns are distinct orbits
+                        out.append(SymPattern(c, level, _sort_blocks(blocks)))
+                        continue
+                    sig = _signature(blocks, owner)
+                    if sig not in seen:
+                        seen.add(sig)
+                        out.append(SymPattern(c, level,
+                                              _canonical_blocks(sig, subs)))
         out.sort(key=lambda p: (p.comp, _blocks_key(p.blocks)))
         return tuple(out)
 
@@ -169,9 +181,16 @@ class SymContext:
         return falling_factorial(pat.level, g) / s
 
     def set_measure(self, expr: SetExpr, level: int = 0) -> Poly:
-        total = Poly.zero()
+        """Sum of ff(N, g) / |Stab| over the orbits: the 1/|Stab| are added
+        up per generic count g first, then scale one ff(N, g) each."""
+        weights: dict[int, Fraction] = {}
         for pat in self.orbits(expr, level):
-            total = total + self.measure(expr, pat)
+            g = pat.generic_count()
+            weights[g] = (weights.get(g, 0)
+                          + Fraction(1, self.stabilizer_order(expr, pat)))
+        total = Poly.zero()
+        for g, w in sorted(weights.items()):
+            total = total + falling_factorial(level, g) * w
         return total
 
     # -- fixed points -------------------------------------------------
@@ -372,6 +391,63 @@ class SymContext:
                   for slots, pin in pat.blocks]
         return self.canonicalize(expr, SymPattern(pat.comp, pat.level,
                                                   _sort_blocks(blocks)))
+
+
+@lru_cache(maxsize=None)
+def _sub_owner(subs: tuple[tuple[int, ...], ...]) -> dict[int, int]:
+    """Slot -> index of the Sub factor holding it."""
+    return {s: f for f, g in enumerate(subs) for s in g}
+
+
+def _signature(blocks, owner: dict[int, int]):
+    """Each block as (generic, pin, non-Sub slots, Sub factors met), sorted:
+    equal for two patterns exactly when they lie in one orbit."""
+    sig = []
+    for slots, pin in blocks:
+        fixed, meets = [], []
+        for s in sorted(slots):
+            f = owner.get(s)
+            if f is None:
+                fixed.append(s)
+            else:
+                meets.append(f)
+        sig.append((pin is None, pin or 0, tuple(fixed), tuple(meets)))
+    sig.sort()
+    return tuple(sig)
+
+
+def _canonical_blocks(sig, subs) -> Blocks:
+    """The lex-min pattern with signature sig, in sorted block order:
+    pinned blocks in pin order, then repeatedly the generic block whose
+    slots are least, each taking the least free slot of every Sub factor it
+    meets (its slots then dominate those of any other choice)."""
+    free = [0] * len(subs)  # position of each Sub factor's least free slot
+
+    def slots_of(fixed, meets):
+        return tuple(sorted(fixed + tuple(subs[f][free[f]] for f in meets)))
+
+    out, generic = [], []
+    for is_generic, pin, fixed, meets in sig:
+        if is_generic:
+            generic.append((fixed, meets))
+            continue
+        out.append((slots_of(fixed, meets), pin))
+        for f in meets:
+            free[f] += 1
+    while generic:
+        slots, i = min((slots_of(*b), i) for i, b in enumerate(generic))
+        for f in generic.pop(i)[1]:
+            free[f] += 1
+        out.append((slots, None))
+    return tuple(out)
+
+
+def _stabilizer_order(sig) -> int:
+    """Product of m! over the classes of m generic blocks with no non-Sub
+    slot that meet the same Sub factors."""
+    classes = Counter(meets for is_generic, _, fixed, meets in sig
+                      if is_generic and not fixed)
+    return prod(factorial(m) for m in classes.values())
 
 
 def _partitions(k: int, separated, fixed: int = 0):

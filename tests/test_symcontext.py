@@ -2,10 +2,13 @@ import random
 from itertools import product as iproduct
 from math import comb
 
+import pytest
+
+from oligocat.ordercontext import OrderContext
 from oligocat.scalar import Poly, binomial_poly, falling_factorial
-from oligocat.setexpr import inj, one, power, product, sub, union
-from oligocat.symcontext import (SymContext, SymPattern, _partitions,
-                                 _sort_blocks)
+from oligocat.setexpr import inj, one, perm_group, power, product, sub, union
+from oligocat.symcontext import (SymContext, SymPattern, _blocks_key,
+                                 _partitions, _pin_assignments, _sort_blocks)
 
 ctx = SymContext()
 t = Poly.var()
@@ -153,3 +156,94 @@ def test_empty_set():
     from oligocat.setexpr import empty
     assert len(ctx.orbits(empty(), 0)) == 0
     assert ctx.set_measure(empty()) == Poly.zero()
+
+
+# -- the signature form against the slot-group search it replaces ----------
+
+SUB_HEAVY = [product(sub(2), sub(2), sub(2)),
+             product(sub(3), sub(2), sub(2)),
+             product(sub(2), inj(2), sub(2)),
+             product(sub(4), power(1)),
+             union(product(inj(2), sub(2)), sub(3))]
+
+
+def _slot_group(expr, c):
+    return perm_group(expr.sub_groups(c), expr.slot_count(c))
+
+
+def _labelled_patterns(expr, level):
+    """Every labelled partition of the slots with separated slots apart,
+    with every injective pinning of its blocks, blocks in partition order."""
+    for c in range(expr.n_comps()):
+        for part in _partitions(expr.slot_count(c), expr.separated_groups(c)):
+            for pins in _pin_assignments(len(part), level):
+                yield SymPattern(c, level, tuple(
+                    (slots, pins.get(i)) for i, slots in enumerate(part)))
+
+
+def _lexmin_canonicalize(expr, pat):
+    """The least sorted block list over every Sub-factor slot map."""
+    return SymPattern(pat.comp, pat.level, min(
+        (_sort_blocks([(tuple(w[s] for s in slots), pin)
+                       for slots, pin in pat.blocks])
+         for w in _slot_group(expr, pat.comp)), key=_blocks_key))
+
+
+def _fixing(expr, pat):
+    """The number of Sub-factor slot maps fixing the pattern."""
+    ref = frozenset((frozenset(slots), pin) for slots, pin in pat.blocks)
+    return sum(1 for w in _slot_group(expr, pat.comp)
+               if frozenset((frozenset(w[s] for s in slots), pin)
+                            for slots, pin in pat.blocks) == ref)
+
+
+@pytest.mark.parametrize("expr", SUB_HEAVY, ids=[e.to_text() for e in SUB_HEAVY])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_signature_form_matches_slot_group_search(expr, level):
+    """On every labelled pattern, canonicalize is the lex-min image under
+    the slot group and stabilizer_order counts the slot maps fixing it;
+    orbits lists exactly the lex-min forms, each once."""
+    found = set()
+    for pat in _labelled_patterns(expr, level):
+        old = _lexmin_canonicalize(expr, pat)
+        assert ctx.canonicalize(expr, pat) == old, pat.blocks
+        assert ctx.stabilizer_order(expr, pat) == _fixing(expr, pat), pat
+        found.add(old)
+    orbits = ctx.orbits(expr, level)
+    assert len(orbits) == len(set(orbits))
+    assert set(orbits) == found
+
+
+def test_sym_backend_builds_no_slot_group(monkeypatch):
+    """With perm_group refusing, enumeration, measures, canonical forms and
+    composition of the sym backend work on Sub-heavy sets."""
+    from oligocat import matrixalg, setexpr
+    from oligocat.matrixalg import EndAlgebra
+
+    def refuse(*args):
+        raise AssertionError("slot-permutation group built")
+
+    monkeypatch.setattr(setexpr, "perm_group", refuse)
+    monkeypatch.setattr(matrixalg, "_compose_cache", {})
+    expr = product(sub(2), power(1), sub(3))
+    orbits = ctx.orbits(expr, 1)
+    assert ctx.set_measure(expr, 1) == binomial_poly(2) * t * binomial_poly(3)
+    for pat in orbits:
+        assert ctx.canonicalize(expr, pat) == pat
+    raw = SymPattern(0, 0, (((2, 3), None), ((0,), None), ((1,), None)))
+    assert ctx.canonicalize(product(sub(3), power(1)), raw).blocks == (
+        ((0,), None), ((1,), None), ((2, 3), None))
+    assert len(EndAlgebra(ctx, sub(2)).structure_constants()) == 3
+
+
+@pytest.mark.parametrize("backend", [ctx, OrderContext(-1, -1)],
+                         ids=["sym", "order"])
+def test_set_measure_is_sum_of_orbit_measures(backend):
+    for expr, level in [(product(sub(3), sub(2), sub(2)), 0),
+                        (product(sub(2), power(2)), 1),
+                        (union(product(inj(2), sub(2)), sub(3)), 2),
+                        (power(4), 2), (one(), 1)]:
+        total = Poly.zero()
+        for pat in backend.orbits(expr, level):
+            total = total + backend.measure(expr, pat)
+        assert backend.set_measure(expr, level) == total
