@@ -9,7 +9,6 @@ to structural maps, Frobenius algebra structure and idempotent decomposition.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 import random
 
 from .scalar import EvalPoint, Poly, evaluate
@@ -338,15 +337,15 @@ def _split_idempotent(sp, e, z):
 
 
 def _rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of p, by clearing denominators and trying divisors."""
+    """All rational roots of p, by trying divisors on its integer
+    numerators."""
     if p.is_zero():
         return []
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
+    ints = p.num
     while ints and ints[0] == 0:
         ints = ints[1:]  # factor out x; 0 is a root
     roots = set()
-    if len(ints) < len(p.coeffs):
+    if len(ints) < len(p.num):
         roots.add(Fraction(0))
     if not ints:
         return sorted(roots)

@@ -9,8 +9,7 @@ their orbit coefficients, so every identity here is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from math import lcm
 
 from .scalar import (EvalPoint, Poly, TruncatedSeries, evaluate)
 from .setexpr import SetExpr, product
@@ -179,59 +178,45 @@ def matrix_power(a: InvariantMatrix, n: int) -> InvariantMatrix:
     return out
 
 
-def higher_trace(a: InvariantMatrix, n: int) -> Poly:
-    """T_n(a): integral of the n x n minor determinant over n-element
-    subsets, computed through the permutation-expansion formula in terms of
-    traces of powers (valid over Q, uniform across backends)."""
-    if n < 0:
-        raise ValueError("higher trace needs n >= 0")
-    if n == 0:
-        return Poly.one()
-    powers = {}
+def _power_traces(a: InvariantMatrix, n: int) -> list[Poly]:
+    """tr(a), tr(a^2), ..., tr(a^n), with n - 1 compositions."""
+    out = []
     cur = a
     for j in range(1, n + 1):
-        powers[j] = trace(cur)
+        out.append(trace(cur))
         if j < n:
             cur = matmul(cur, a)
-    total = Poly.zero()
-    for lam in _partitions_of(n):
-        mult = {}
-        for part in lam:
-            mult[part] = mult.get(part, 0) + 1
-        term = Poly.one()
-        for j, mj in mult.items():
-            base = powers[j] * Fraction((-1) ** (j + 1), j)
-            piece = Poly.one()
-            for _ in range(mj):
-                piece = piece * base
-            term = term * piece / factorial(mj)
-        total = total + term
-    return total
+    return out
+
+
+def _elementary(p: list[Poly]) -> list[Poly]:
+    """e_0, ..., e_n from the power traces p_1..p_n by Newton's identities:
+    n e_n = sum_{j=1..n} (-1)^(j-1) e_(n-j) p_j (valid over Q, uniform
+    across backends)."""
+    e = [Poly.one()]
+    for n in range(1, len(p) + 1):
+        total = Poly.zero()
+        for j in range(1, n + 1):
+            term = e[n - j] * p[j - 1]
+            total = total + term if j % 2 else total - term
+        e.append(total / n)
+    return e
+
+
+def higher_trace(a: InvariantMatrix, n: int) -> Poly:
+    """T_n(a): integral of the n x n minor determinant over n-element
+    subsets, the n-th elementary symmetric function of a computed from the
+    traces of its powers."""
+    if n < 0:
+        raise ValueError("higher trace needs n >= 0")
+    return _elementary(_power_traces(a, n))[n]
 
 
 def char_series(a: InvariantMatrix, order: int = TruncatedSeries.DEFAULT_ORDER
                 ) -> TruncatedSeries:
-    """det(1 + u*a) to the given truncation order."""
-    return TruncatedSeries(order, [higher_trace(a, n) for n in range(order)])
-
-
-@lru_cache(maxsize=None)
-def _partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
-    if n == 0:
-        return ((),)
-    out = []
-
-    def rec(rest, maxpart, acc):
-        if rest == 0:
-            out.append(tuple(acc))
-            return
-        for p in range(min(rest, maxpart), 0, -1):
-            acc.append(p)
-            rec(rest - p, p, acc)
-            acc.pop()
-
-    rec(n, n, [])
-    return tuple(out)
+    """det(1 + u*a) to the given truncation order: the higher traces of a,
+    from one list of power traces."""
+    return TruncatedSeries(order, _elementary(_power_traces(a, order - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,28 +308,50 @@ class EndAlgebra:
         return SpecializedEnd(self, at, sc, ident)
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
 class SpecializedEnd:
     """The finite-dimensional algebra End(Vec_X) at a rational point of t,
-    with elements as coordinate vectors over Q."""
+    with elements as coordinate vectors over Q.
+
+    The structure constants are kept as integers over one denominator:
+    table[i][j] lists the nonzero (k, n) with c_ij^k = n / den, so products
+    run on Python integers."""
 
     def __init__(self, parent: EndAlgebra, at: EvalPoint, sc, ident):
         self.parent = parent
         self.at = at
-        self.sc = sc
         self.ident = [Fraction(c) for c in ident]
         self.dim = parent.dim
+        den = lcm(*(c.denominator
+                    for plane in sc for row in plane for c in row if c))
+        self.den = den
+        self.table = [
+            [tuple((k, c.numerator * (den // c.denominator))
+                   for k, c in enumerate(row) if c)
+             for row in plane]
+            for plane in sc]
 
     def mul(self, u, v):
-        out = [Fraction(0)] * self.dim
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    if b:
-                        ab = a * b
-                        for k, c in enumerate(self.sc[i][j]):
-                            if c:
-                                out[k] += ab * c
-        return out
+        """u * v, on integer numerators over the common denominator of u,
+        of v and of the table."""
+        du = lcm(*(a.denominator for a in u if a))
+        dv = lcm(*(b.denominator for b in v if b))
+        us = [(i, a.numerator * (du // a.denominator))
+              for i, a in enumerate(u) if a]
+        vs = [(j, b.numerator * (dv // b.denominator))
+              for j, b in enumerate(v) if b]
+        acc = [0] * self.dim
+        table = self.table
+        for i, a in us:
+            row = table[i]
+            for j, b in vs:
+                ab = a * b
+                for k, c in row[j]:
+                    acc[k] += ab * c
+        den = du * dv * self.den
+        return [Fraction(x, den) if x else _FRACTION_ZERO for x in acc]
 
     def element(self, a: InvariantMatrix):
         return [evaluate(c, self.at) for c in self.parent.matrix_to_vec(a)]
@@ -406,32 +413,30 @@ class SpecializedEnd:
         return [-c / c0 for c in self.poly_of(g, w)]
 
     def is_commutative(self) -> bool:
-        es = [[Fraction(1) if i == j else Fraction(0) for j in range(self.dim)]
-              for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.mul(es[i], es[j]) != self.mul(es[j], es[i]):
-                    return False
-        return True
+        table = self.table
+        return all(table[i][j] == table[j][i]
+                   for i in range(self.dim) for j in range(i + 1, self.dim))
 
     def center_basis(self):
         """Basis of the center as coordinate vectors."""
-        # z central iff z*e_i - e_i*z = 0 for all basis elements
-        es = [[Fraction(1) if i == j else Fraction(0) for j in range(self.dim)]
-              for i in range(self.dim)]
-        rows = []
-        for e in es:
-            # linear map z -> z*e - e*z, columns over the basis
-            cols = []
-            for b in es:
-                cols.append([x - y for x, y in zip(self.mul(b, e), self.mul(e, b))])
-            rows.append(cols)
-        # stack constraints
-        mat = []
-        for cols in rows:
-            for k in range(self.dim):
-                mat.append([cols[j][k] for j in range(self.dim)])
-        return _nullspace(mat, self.dim)
+        # z = sum_i z_i e_i is central iff z e_j - e_j z = 0 for every j:
+        # one row per (j, k), with entry c_ij^k - c_ji^k in column i, times
+        # den, which leaves the kernel alone
+        table = self.table
+        mat = {}
+        for j in range(self.dim):
+            for i in range(self.dim):
+                if table[i][j] == table[j][i]:
+                    continue
+                diff = dict(table[i][j])
+                for k, c in table[j][i]:
+                    diff[k] = diff.get(k, 0) - c
+                for k, c in diff.items():
+                    if c:
+                        row = mat.setdefault((j, k),
+                                             [_FRACTION_ZERO] * self.dim)
+                        row[i] = Fraction(c)
+        return _nullspace(list(mat.values()), self.dim)
 
 
 def _nullspace(mat, width):

@@ -2,16 +2,18 @@
 parameter t, and truncated power series in u.
 
 Everything here is exact; there is no floating point anywhere in the package.
-Polynomials are dense over Fraction with trailing zeros stripped, so equality
-is literal coefficient equality.
+A polynomial is a tuple of integer numerators over one positive integer
+denominator, in canonical form (no trailing zero, no common factor), so
+equality is literal equality of those fields and the arithmetic runs on
+Python integers.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import factorial, gcd as _int_gcd
+from functools import lru_cache
+from math import factorial, gcd as _int_gcd, lcm
 from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
@@ -41,69 +43,102 @@ def is_prime(p: int) -> bool:
 
 
 class Poly:
-    """Dense univariate polynomial over Q.  Used both for values in Q[t]
-    (measures, traces) and for Q[x] in the q-binomial calculus."""
+    """Univariate polynomial over Q, stored as integer numerators over one
+    positive integer denominator.  Used both for values in Q[t] (measures,
+    traces) and for Q[x] in the q-binomial calculus.
 
-    __slots__ = ("coeffs",)
+    The form is canonical: no trailing zero numerator, gcd(den, *num) == 1,
+    and the zero polynomial is ((), 1).  So den is the least common
+    denominator of the coefficients, and equality and hashing compare the
+    stored fields."""
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
         cs = [_frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        # the lcm of reduced denominators leaves no common factor with the
+        # scaled numerators, so this form is already canonical
+        den = lcm(*(c.denominator for c in cs))
+        self.num: tuple[int, ...] = tuple(
+            c.numerator * (den // c.denominator) for c in cs)
+        self.den: int = den
 
     @staticmethod
-    def _of(cs: list) -> "Poly":
-        """The polynomial with coefficients cs, which must already be
-        Fractions with no trailing zero: nothing is converted or checked."""
+    def _of(num, den: int) -> "Poly":
+        """The polynomial num/den, which must already be canonical: nothing
+        is converted or checked."""
         p = object.__new__(Poly)
-        p.coeffs = tuple(cs)
+        p.num = tuple(num)
+        p.den = den
         return p
+
+    @staticmethod
+    def _reduced(num: list, den: int) -> "Poly":
+        """The polynomial num/den for integer numerators without a trailing
+        zero and a positive den: the common factor is divided out."""
+        if den != 1:
+            g = _int_gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        return Poly._of(num, den)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def const(c: Rat) -> "Poly":
-        return Poly([_frac(c)])
+        if isinstance(c, int):
+            return Poly._of((c,), 1) if c else _ZERO
+        c = _frac(c)
+        return Poly._of((c.numerator,), c.denominator) if c else _ZERO
 
     @staticmethod
     def var() -> "Poly":
-        return Poly([0, 1])
+        return Poly._of((0, 1), 1)
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly()
+        return _ZERO
 
     @staticmethod
     def one() -> "Poly":
-        return Poly([1])
+        return Poly._of((1,), 1)
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.num) <= 1
 
     def constant(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
     def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
+        return Fraction(0)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __repr__(self):
         return f"Poly({self.to_text()!r})"
@@ -114,7 +149,20 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.num, other.num
+        if not b:
+            return self
+        if not a:
+            return other
+        den, db = self.den, other.den
+        if den != db:  # bring both to the lcm of the denominators
+            g = _int_gcd(den, db)
+            fa, fb = db // g, den // g
+            if fa != 1:
+                a = [c * fa for c in a]
+            if fb != 1:
+                b = [c * fb for c in b]
+            den *= fa
         if len(a) < len(b):
             a, b = b, a
         cs = list(a)
@@ -123,12 +171,12 @@ class Poly:
         if len(b) == len(a):  # only equal degrees can cancel the top
             while cs and cs[-1] == 0:
                 cs.pop()
-        return Poly._of(cs)
+        return Poly._reduced(cs, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._of([-c for c in self.coeffs])
+        return Poly._of([-c for c in self.num], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -143,21 +191,24 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.num, other.num
         if not a or not b:
-            return Poly._of(())
+            return _ZERO
         if len(a) < len(b):
             a, b = b, a
+        den = self.den * other.den
         if len(b) == 1:  # a constant factor
             c = b[0]
-            return Poly._of(a) if c == 1 else Poly._of([x * c for x in a])
-        # over Q the top coefficient a[-1] * b[-1] is never zero
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+            if c == 1 and den == 1:
+                return Poly._of(a, 1)
+            return Poly._reduced([x * c for x in a], den)
+        # over Z the top coefficient a[-1] * b[-1] is never zero
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return Poly._of(out)
+        return Poly._reduced(out, den)
 
     __rmul__ = __mul__
 
@@ -173,7 +224,10 @@ class Poly:
         c = _frac(c)
         if c == 0:
             raise ZeroDivisionError("polynomial divided by zero scalar")
-        return Poly._of([a / c for a in self.coeffs])
+        p, q = c.numerator, c.denominator
+        if p < 0:
+            p, q = -p, -q
+        return Poly._reduced([a * q for a in self.num], self.den * p)
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -185,11 +239,17 @@ class Poly:
     # -- polynomial algebra --------------------------------------------
 
     def __call__(self, x: Rat) -> Fraction:
+        """Integer Horner on x = p/q: sum num_k p^k q^(d-k) / (den q^d)."""
         x = _frac(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        num = self.num
+        if not num:
+            return Fraction(0)
+        acc, qk = num[-1], 1
+        for c in reversed(num[:-1]):
+            qk *= q
+            acc = acc * p + c * qk
+        return Fraction(acc, self.den * qk)
 
     def compose(self, inner: "Poly") -> "Poly":
         acc = Poly()
@@ -198,15 +258,17 @@ class Poly:
         return acc
 
     def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return Poly._reduced([k * c for k, c in enumerate(self.num)][1:],
+                             self.den)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
+        b = other.coeffs
+        q = [Fraction(0)] * max(0, len(self.num) - len(b) + 1)
         r = list(self.coeffs)
         d = other.degree()
-        lead = other.coeffs[-1]
+        lead = b[-1]
         while len(r) - 1 >= d and any(r):
             while r and r[-1] == 0:
                 r.pop()
@@ -215,8 +277,8 @@ class Poly:
             k = len(r) - 1 - d
             c = r[-1] / lead
             q[k] = c
-            for j, b in enumerate(other.coeffs):
-                r[k + j] -= c * b
+            for j, bj in enumerate(b):
+                r[k + j] -= c * bj
             r.pop()
         return Poly(q), Poly(r)
 
@@ -229,7 +291,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self / self.coeffs[-1]
+        return self / Fraction(self.num[-1], self.den)
 
     def gcd(self, other: "Poly") -> "Poly":
         a, b = self, other
@@ -249,9 +311,7 @@ class Poly:
     def to_text(self, var: str = "t") -> str:
         if self.is_zero():
             return "0"
-        den = reduce(lambda a, b: a * b // _int_gcd(a, b),
-                     (c.denominator for c in self.coeffs), 1)
-        num = [int(c * den) for c in self.coeffs]
+        num, den = self.num, self.den
         terms = []
         for k in range(len(num) - 1, -1, -1):
             c = num[k]
@@ -278,6 +338,8 @@ class Poly:
     def from_text(s: str, var: str = "t") -> "Poly":
         return _parse_poly(s, var)
 
+
+_ZERO = Poly._of((), 1)
 
 ParamScalar = Poly  # the value domain of all measures and traces
 

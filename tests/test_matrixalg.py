@@ -10,7 +10,7 @@ from oligocat.category import PermObject, hom_basis
 from oligocat.integration import (GSetMap, SchwartzFunction, change_level,
                                   pullback, pushforward)
 from oligocat.matrixalg import (EndAlgebra, InvariantMatrix,
-                                _composition_table, _poly_det,
+                                _composition_table, _nullspace, _poly_det,
                                 _singular_at, _trace_gram, char_series,
                                 higher_trace, is_semisimple_end, jordan_split,
                                 matmul, matrix_power, min_poly, trace,
@@ -295,6 +295,26 @@ def test_associativity_randomized():
             assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))
 
 
+def test_char_series_composes_order_minus_two_times(monkeypatch):
+    """char_series(a, k) reads the power traces of a once: k - 2
+    compositions, not one run of powers per coefficient."""
+    a = rand_matrix(sym, power(1), random.Random(3))
+    series = {k: char_series(a, k) for k in (1, 2, 5, 8)}
+    calls = []
+    real = matrixalg.matmul
+
+    def counting(b, a):
+        calls.append(1)
+        return real(b, a)
+
+    monkeypatch.setattr(matrixalg, "matmul", counting)
+    for k, expected in series.items():
+        calls.clear()
+        assert char_series(a, k) == expected
+        assert len(calls) == max(k - 2, 0)
+    assert [higher_trace(a, n) for n in range(8)] == list(series[8].coeffs)
+
+
 def test_higher_traces():
     i = InvariantMatrix.identity(sym, power(1))
     assert higher_trace(i, 0) == Poly.one()
@@ -498,3 +518,84 @@ def test_poly_det_against_sympy():
         assert _poly_det(m) == expect
         swaps += m[0][0].is_zero() and not expect.is_zero()
     assert swaps > 0
+
+
+# The SpecializedEnd paths the integer kernel replaced: a dense table of
+# Fractions evaluated from the parent's structure constants, a dense mul,
+# and commutativity and the center found through mul.
+
+def dense_table(sp):
+    return [[[evaluate(c, sp.at) for c in row] for row in plane]
+            for plane in sp.parent.structure_constants()]
+
+
+def mul_dense(sc, u, v):
+    out = [Fraction(0)] * len(sc)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                if b:
+                    ab = a * b
+                    for k, c in enumerate(sc[i][j]):
+                        if c:
+                            out[k] += ab * c
+    return out
+
+
+def unit_vectors(dim):
+    return [[Fraction(1) if i == j else Fraction(0) for j in range(dim)]
+            for i in range(dim)]
+
+
+def is_commutative_by_mul(sc):
+    es = unit_vectors(len(sc))
+    return all(mul_dense(sc, es[i], es[j]) == mul_dense(sc, es[j], es[i])
+               for i in range(len(sc)) for j in range(i + 1, len(sc)))
+
+
+def center_basis_by_mul(sc):
+    dim = len(sc)
+    es = unit_vectors(dim)
+    mat = []
+    for e in es:
+        cols = [[x - y for x, y in zip(mul_dense(sc, b, e),
+                                       mul_dense(sc, e, b))]
+                for b in es]
+        for k in range(dim):
+            mat.append([cols[j][k] for j in range(dim)])
+    return _nullspace(mat, dim)
+
+
+SPECIALIZED_CASES = [(sym, power(1), 5), (sym, inj(2), 6),
+                     (sym, power(2), 7), (order, sub(2), 7),
+                     (sym, inj(2), Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("ctx,x,t0", SPECIALIZED_CASES)
+def test_specialized_end_matches_dense_fractions(ctx, x, t0):
+    sp = EndAlgebra(ctx, x).specialize(EvalPoint.rational(t0))
+    sc = dense_table(sp)
+    # the table keeps exactly the nonzero constants, over one denominator
+    assert ([[{k: Fraction(c, sp.den) for k, c in row} for row in plane]
+             for plane in sp.table]
+            == [[{k: c for k, c in enumerate(row) if c} for row in plane]
+                for plane in sc])
+    if t0 == Fraction(1, 2):
+        assert sp.den > 1  # non-integer structure constants occur
+    rng = random.Random(f"{ctx!r} {x.to_text()} {t0}")
+
+    def rand_vec():
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                if rng.random() < 0.7 else Fraction(0)
+                for _ in range(sp.dim)]
+
+    es = unit_vectors(sp.dim)
+    pairs = [(rand_vec(), rand_vec()) for _ in range(12)]
+    pairs += [(es[0], rand_vec()), (rand_vec(), es[-1]),
+              ([Fraction(0)] * sp.dim, rand_vec()), (list(sp.ident), es[1])]
+    for u, v in pairs:
+        got = sp.mul(u, v)
+        assert got == mul_dense(sc, u, v)
+        assert all(type(c) is Fraction for c in got)
+    assert sp.is_commutative() == is_commutative_by_mul(sc)
+    assert sp.center_basis() == center_basis_by_mul(sc)

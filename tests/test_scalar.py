@@ -136,9 +136,48 @@ def test_poly_division_helpers():
     assert binom_of(t - 1, 2) == (t - 1) * (t - 2) / 2
 
 
+def assert_canonical(p):
+    """Integer numerators over one positive denominator, no trailing zero,
+    no common factor; so den is the lcm of the coefficient denominators."""
+    assert all(type(c) is int for c in p.num) and type(p.den) is int
+    assert p.den > 0
+    assert not p.num or p.num[-1] != 0
+    assert math.gcd(p.den, *p.num) == 1
+    assert p.den == math.lcm(*(c.denominator for c in p.coeffs))
+    assert p.num or p.den == 1
+
+
+def horner_over_fractions(p, x):
+    """The Fraction Horner evaluation that the integer one replaced."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def test_equal_values_built_differently():
+    pairs = [(Poly([Fraction(1, 2)]) * 2, Poly.one()),
+             (Poly([Fraction(2, 4), Fraction(-3, -6)]) / Fraction(1, 2),
+              1 + t),
+             ((t / 3) * 3, t), (t / 6 + t / 3, t / 2),
+             (binomial_poly(2) * 2 - t * t, -t),
+             (Poly([Fraction(1, 3), 0, 0]), Poly.const(Fraction(1, 3))),
+             (t - t, Poly.zero()), (Poly([0, 0]), Poly()),
+             (Poly.const(Fraction(6, 3)), Poly([2]))]
+    for a, b in pairs:
+        assert_canonical(a)
+        assert_canonical(b)
+        assert a == b and hash(a) == hash(b)
+        assert (a.num, a.den) == (b.num, b.den)
+    assert Poly.const(Fraction(1, 2)) == Fraction(1, 2)
+    assert Poly.zero() == 0 and Poly.one() == 1 and t != 1
+
+
 def test_poly_against_sympy():
-    """+ - * /, divmod, gcd, squarefree_part and the text round trip agree
-    with sympy over QQ on generated polynomials."""
+    """+ - * /, evaluation, derivative, divmod, gcd, squarefree_part and
+    the text round trip agree with sympy over QQ on generated polynomials;
+    every result is in canonical form, and equal values built in different
+    ways are equal and hash alike."""
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -170,14 +209,29 @@ def test_poly_against_sympy():
         if c:
             assert a / c == from_sympy(sa * to_sympy(Poly.const(1 / c)))
         assert Poly.from_text(a.to_text()) == a
+        assert a(c) == horner_over_fractions(a, c) == sa.eval(
+            sympy.Rational(c.numerator, c.denominator))
+        assert a.derivative() == from_sympy(sa.diff(x))
         if not b.is_zero():
             q, r = a.divmod(b)
             sq, sr = sympy.div(sa, sb)
             assert (q, r) == (from_sympy(sq), from_sympy(sr))
+            assert_canonical(q)
+            assert_canonical(r)
         g = sympy.gcd(sa, sb)
         assert a.gcd(b) == (from_sympy(g.monic()) if not g.is_zero
                             else Poly.zero())
         if a.degree() > 0:
             assert a.squarefree_part() == from_sympy(sa.sqf_part().monic())
+        for p in (a, a + b, a - b, -a, a * b, a * c, a.derivative(),
+                  a.gcd(b)):
+            assert_canonical(p)
+        # equal values reached by different routes
+        for p, q in ((a + b - b, a), (b + a, a + b), (a * b, b * a),
+                     (Poly(a.coeffs), a), (Poly(list(a.coeffs) + [0]), a)):
+            assert p == q and hash(p) == hash(q)
+        if c:
+            assert_canonical(a / c)
+            assert (a / c) * c == a and hash((a / c) * c) == hash(a)
 
     check()
