@@ -15,7 +15,8 @@ from fractions import Fraction
 from .category import (PermObject, frobenius, hom_basis, idempotent_decompose)
 from .fraisse import (all_structures, boron_mu, boron_nu, boron_theta_witness,
                       embeddings, enumerate_amalgamations, orders_sign,
-                      rado_invariant_check, sets_nu_t, verify_measure)
+                      rado_invariant_check, sets_nu_t, structure_text,
+                      verify_measure)
 from .glqmeasure import QContext
 from .integration import GSetMap, SchwartzFunction
 from .matrixalg import InvariantMatrix, char_series, matmul, trace
@@ -424,8 +425,15 @@ def _fraisse_cmd(args) -> int:
     if args.check == "rado":
         if args.table is not None:
             cand = _load_table_candidate("graph", args.table)
-            rep = rado_invariant_check(
-                lambda g: cand.of_structure(g).constant(), args.max_size)
+
+            def value(g):
+                v = cand.of_structure(g)
+                if not v.is_constant():
+                    raise ValueError(f"table entry {structure_text(g)!r} is "
+                                     f"{v.to_text()}, not a number")
+                return v.constant()
+
+            rep = rado_invariant_check(value, args.max_size)
             print(f"graph invariant table: "
                   f"{'pass' if rep.ok else 'FAIL'} {rep.failures[:1]}"
                   f" ({rep.counts})")

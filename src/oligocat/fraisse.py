@@ -192,27 +192,26 @@ class BoronTree(Structure):
 
     def _validate(self):
         n = self.size
-        verts = {v for e in self.edges for v in e} | set(range(n))
-        n_int = len(verts) - n
         if n <= 1:
             if self.edges:
                 raise ValueError("tiny boron trees have no edges")
             return
-        if len(self.edges) != len(verts) - 1:
+        adj = self.adj()
+        if len(self.edges) != len(adj) - 1:
             raise ValueError("not a tree")
-        deg = {v: 0 for v in verts}
-        for e in self.edges:
-            for v in e:
-                deg[v] += 1
-        for v in range(n):
-            if deg[v] != 1:
-                raise ValueError("leaves must have degree one")
-        for v in verts - set(range(n)):
-            if deg[v] != 3:
-                raise ValueError("internal vertices must have valence three")
-        if not _connected(verts, self.edges):
+        if any(len(adj[v]) != 1 for v in range(n)):
+            raise ValueError("leaves must have degree one")
+        if any(len(ws) != 3 for v, ws in adj.items() if v not in range(n)):
+            raise ValueError("internal vertices must have valence three")
+        seen, stack = set(), [0]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(adj[v])
+        if len(seen) != len(adj):
             raise ValueError("not connected")
-        if n >= 2 and n_int != max(n - 2, 0):
+        if len(adj) - n != n - 2:
             raise ValueError("wrong number of internal vertices")
 
     def adj(self):
@@ -294,50 +293,14 @@ class BoronTree(Structure):
         """Sub-boron-tree on a leaf subset: Steiner tree + suppression of
         valence-two internal vertices."""
         keep = list(elements)
-        k = len(keep)
-        if k <= 1:
-            return BoronTree(k, [])
+        if len(keep) <= 1:
+            return BoronTree(len(keep), [])
         # union of pairwise paths
         verts = set()
         for a, b in combinations(keep, 2):
             verts |= self._path(a, b)
-        adj = {v: set() for v in verts}
-        for e in self.edges:
-            x, y = tuple(e)
-            if x in verts and y in verts:
-                adj[x].add(y)
-                adj[y].add(x)
-        # drop internal vertices of degree <= 1, then suppress degree 2
-        changed = True
-        while changed:
-            changed = False
-            for v in list(adj):
-                if v in keep:
-                    continue
-                if len(adj[v]) <= 1:
-                    for w in adj[v]:
-                        adj[w].discard(v)
-                    del adj[v]
-                    changed = True
-                elif len(adj[v]) == 2:
-                    a, b = tuple(adj[v])
-                    adj[a].discard(v)
-                    adj[b].discard(v)
-                    adj[a].add(b)
-                    adj[b].add(a)
-                    del adj[v]
-                    changed = True
-        names = {v: i for i, v in enumerate(keep)}
-        nxt = k
-        for v in adj:
-            if v not in names:
-                names[v] = nxt
-                nxt += 1
-        edges = set()
-        for v, ws in adj.items():
-            for w in ws:
-                edges.add(frozenset((names[v], names[w])))
-        return BoronTree(k, edges)
+        adj = self.adj()
+        return _boron_from_adjacency({v: adj[v] & verts for v in verts}, keep)
 
     def __repr__(self):
         return (f"BoronTree({self.size}, "
@@ -348,123 +311,59 @@ class BoronTree(Structure):
         """Parenthesized leaf topology, e.g. "((,),(,))" or "((a,b),c,(d,e))";
         leaf names are ignored, only the shape matters.  The rooted shape is
         normalized (degree-two vertices suppressed) to an unrooted boron tree."""
+        adj, leaves = {}, []
         pos = 0
 
-        def parse():
+        def parse(parent):
             nonlocal pos
+            v = len(adj)
+            adj[v] = set()
+            if parent is not None:
+                adj[v].add(parent)
+                adj[parent].add(v)
             if pos < len(text) and text[pos] == "(":
                 pos += 1
-                kids = [parse()]
+                parse(v)
                 while pos < len(text) and text[pos] == ",":
                     pos += 1
-                    kids.append(parse())
+                    parse(v)
                 if pos >= len(text) or text[pos] != ")":
                     raise ValueError("unbalanced parentheses in tree text")
                 pos += 1
-                return kids
-            m = re.match(r"[\w.]*", text[pos:])
-            pos += m.end()
-            return None  # a leaf
+            else:
+                leaves.append(v)
+                pos += re.match(r"[\w.]*", text[pos:]).end()
 
-        shape = parse()
+        parse(None)
         if pos != len(text.strip()):
             raise ValueError("trailing characters in tree text")
-        leaves = []
-        edges = []
-        internal = [0]
-
-        def build(node, parent):
-            if node is None:
-                leaves.append(parent)
-                return
-            internal[0] += 1
-            me = -internal[0]
-            if parent is not None:
-                edges.append((me, parent))
-            for kid in node:
-                build(kid, me)
-
-        build(shape, None)
-        # number leaves 0..k-1, internals k..
-        k = len(leaves)
-        names = {}
-        lf = 0
-        # leaves were appended with their parent ids; rebuild structure
-        adj = {}
-        nodes = set()
-        leaf_ids = []
-        counter = [0]
-
-        def build2(node, parent):
-            if node is None:
-                counter[0] += 1
-                nid = ("leaf", counter[0])
-            else:
-                counter[0] += 1
-                nid = ("int", counter[0])
-            nodes.add(nid)
-            adj.setdefault(nid, set())
-            if parent is not None:
-                adj[nid].add(parent)
-                adj[parent].add(nid)
-            if node is not None:
-                for kid in node:
-                    build2(kid, nid)
-            return nid
-
-        adj.clear()
-        nodes.clear()
-        counter[0] = 0
-        build2(shape, None)
-        # suppress internal vertices of degree 2 (including the root)
-        changed = True
-        while changed:
-            changed = False
-            for v in list(adj):
-                if v[0] == "int" and len(adj[v]) == 2:
-                    a, b = tuple(adj[v])
-                    adj[a].discard(v)
-                    adj[b].discard(v)
-                    adj[a].add(b)
-                    adj[b].add(a)
-                    del adj[v]
-                    changed = True
-                elif v[0] == "int" and len(adj[v]) in (0, 1) and len(adj) > 1:
-                    for w in adj[v]:
-                        adj[w].discard(v)
-                    del adj[v]
-                    changed = True
-        leaf_nodes = sorted(v for v in adj if v[0] == "leaf")
-        names = {v: i for i, v in enumerate(leaf_nodes)}
-        nxt = len(leaf_nodes)
-        for v in sorted(adj):
-            if v not in names:
-                names[v] = nxt
-                nxt += 1
-        edges = set()
-        for v, ws in adj.items():
-            for w in ws:
-                edges.add(frozenset((names[v], names[w])))
-        return BoronTree(len(leaf_nodes), edges)
+        return _boron_from_adjacency(adj, leaves)
 
 
-def _connected(verts, edges):
-    if not verts:
-        return True
-    adj = {v: set() for v in verts}
-    for e in edges:
-        x, y = tuple(e)
-        adj[x].add(y)
-        adj[y].add(x)
-    seen = set()
-    stack = [next(iter(verts))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v] - seen)
-    return seen == set(verts)
+def _boron_from_adjacency(adj, leaves) -> BoronTree:
+    """The boron tree of a tree given by adjacency sets (consumed): drop
+    non-leaf vertices of degree <= 1, suppress those of degree two, and
+    number the leaves first, in the given order."""
+    leaf_set = set(leaves)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(adj):
+            if v in leaf_set or len(adj[v]) > 2:
+                continue
+            nbrs = adj.pop(v)
+            for w in nbrs:
+                adj[w].discard(v)
+            if len(nbrs) == 2:
+                a, b = nbrs
+                adj[a].add(b)
+                adj[b].add(a)
+            changed = True
+    names = {v: i for i, v in enumerate(leaves)}
+    for v in adj:
+        names.setdefault(v, len(names))
+    return BoronTree(len(leaves), {frozenset((names[v], names[w]))
+                                   for v, ws in adj.items() for w in ws})
 
 
 def _tree_canon(t: BoronTree):
@@ -589,25 +488,20 @@ def all_structures(kind: str, size: int) -> list[Structure]:
     if kind == "order":
         return [TotalOrder(size)]
     if kind == "graph":
-        seen, out = set(), []
         pairs = list(combinations(range(size), 2))
-        for bits in iproduct((0, 1), repeat=len(pairs)):
-            edges = [frozenset(p) for p, b in zip(pairs, bits) if b]
-            g = Graph(size, edges)
-            k = g.iso_key()
-            if k not in seen:
-                seen.add(k)
-                out.append(g)
-        return out
-    if kind == "boron":
-        seen, out = set(), []
-        for t in labeled_boron_trees(size):
-            k = t.iso_key()
-            if k not in seen:
-                seen.add(k)
-                out.append(t)
-        return out
-    raise ValueError(f"unknown plugin kind {kind!r}")
+        labeled = (Graph(size, [frozenset(p) for p, b in zip(pairs, bits) if b])
+                   for bits in iproduct((0, 1), repeat=len(pairs)))
+    elif kind == "boron":
+        labeled = labeled_boron_trees(size)
+    else:
+        raise ValueError(f"unknown plugin kind {kind!r}")
+    seen, out = set(), []
+    for s in labeled:
+        k = s.iso_key()
+        if k not in seen:
+            seen.add(k)
+            out.append(s)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -726,17 +620,10 @@ def _completions(x: Structure, yp: Structure, ip_map, size):
                    for b in range(x.size) if a < b):
                 if all(perm[ip_map[a]] < perm[ip_map[b]]
                        for a in range(yp.size) for b in range(yp.size) if a < b):
-                    # store the order by sorting carrier by position: the
-                    # carrier relabeled to the standard order
-                    order = tuple(sorted(range(size), key=lambda v: perm[v]))
-                    out.append(("order", order))
-        # distinct amalgams differ as labeled orders
-        seen, result = set(), []
-        for _, order in out:
-            if order not in seen:
-                seen.add(order)
-                result.append(_LabeledOrder(size, order))
-        return result
+                    # the carrier listed by position, smallest first
+                    out.append(_LabeledOrder(size, tuple(
+                        sorted(range(size), key=lambda v: perm[v]))))
+        return out
 
     if isinstance(x, Graph):
         ip_inv = {carrier: yv for yv, carrier in enumerate(ip_map)}
@@ -781,7 +668,6 @@ class _LabeledOrder(TotalOrder):
     def __init__(self, size, order):
         super().__init__(size)
         self.order = order  # carrier elements listed smallest first
-        self.pos = {v: i for i, v in enumerate(order)}
 
     def relabel_key(self, perm):
         return tuple(perm[v] for v in self.order)
@@ -840,10 +726,7 @@ class CandidateMeasure:
 
     def perturbed(self, iso_key, value) -> "CandidateMeasure":
         """Negative control: override one structure class's value."""
-        if self.structure_rule is None:
-            base = None
-        else:
-            base = self.structure_rule
+        base = self.structure_rule
 
         def rule(s):
             if s.iso_key() == iso_key:
@@ -949,25 +832,29 @@ def structure_text(s: Structure) -> str:
     raise TypeError(f"unknown structure {s!r}")
 
 
-def candidate_from_table(name: str, kind: str, table: dict
-                         ) -> CandidateMeasure:
+def candidate_from_table(name: str, kind: str, table) -> CandidateMeasure:
     """A candidate measure from a {canonical form: value} table (R-measure
-    form: values are the measures of the structures themselves); values may
-    be numbers or polynomial text."""
+    form: values are the measures of the structures themselves); values are
+    integers or polynomial text such as "-3/4" or "t^2 - 1"."""
+    if not isinstance(table, dict):
+        raise ValueError("a table is an object {canonical form: value}")
     parsed = {}
     for key, value in table.items():
         if isinstance(value, str):
-            if "/" in value and value.replace("-", "").replace("/", "").isdigit():
-                parsed[key] = Poly.const(Fraction(value))
-            else:
+            try:
                 parsed[key] = Poly.from_text(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"table entry {key!r}: {exc}") from exc
+        elif isinstance(value, int) and not isinstance(value, bool):
+            parsed[key] = Poly.const(value)
         else:
-            parsed[key] = Poly.const(Fraction(value))
+            raise ValueError(f"table entry {key!r} is {value!r}, not an "
+                             "integer or polynomial text")
 
     def rule(s: Structure) -> Poly:
         key = structure_text(s)
         if key not in parsed:
-            raise KeyError(f"table has no entry for {key!r}")
+            raise ValueError(f"table has no entry for {key!r}")
         return parsed[key]
 
     return CandidateMeasure(name, kind, structure_rule=rule)

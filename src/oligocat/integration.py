@@ -8,6 +8,8 @@ over fibers, so its coefficients live in Q[t].
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .scalar import Poly
 from .setexpr import SetExpr, product, one
 
@@ -308,7 +310,7 @@ class SchwartzFunction:
     def __mul__(self, other):
         """Pointwise product; same-level orbits are disjoint, so this is a
         coefficient-wise product on the common refinement."""
-        if isinstance(other, (int, Poly)):
+        if isinstance(other, (int, Fraction, Poly)):
             return self.scale(other)
         if self.expr != other.expr:
             raise ValueError("cannot multiply functions on different sets")

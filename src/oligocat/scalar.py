@@ -367,6 +367,8 @@ def _parse_poly(s: str, var: str) -> Poly:
 
     def take():
         nonlocal pos
+        if pos == len(toks):
+            raise ValueError("unexpected end of polynomial text")
         t = toks[pos]
         pos += 1
         return t
@@ -414,8 +416,6 @@ def _parse_poly(s: str, var: str) -> Poly:
             if take() != ")":
                 raise ValueError("unbalanced parentheses")
             return inner
-        if t is None:
-            raise ValueError("unexpected end of polynomial text")
         take()
         if t.isdigit():
             p = Poly.const(int(t))

@@ -125,6 +125,10 @@ def test_glq_commands():
     assert code == 0
 
 
+SETS_TABLE = ["fraisse", "--class", "sets", "--check", "measure",
+              "--max-size", "2", "--table"]
+
+
 @pytest.mark.parametrize("argv", [
     ["measure", "--ctx", "glq:2", "--set", "Sub(3)"],
     ["fraisse", "--class", "sets", "--check", "measure",
@@ -146,14 +150,32 @@ def test_glq_commands():
     ["trace", "--ctx", "order:-1,-1", "--matrix",
      "orbit:Power(1):#0<b1@r=0"],
     ["fraisse", "--class", "boron", "--check", "measure", "--measure", "zz"],
+    SETS_TABLE + [{"set:0": 1, "set:1": [1], "set:2": 1}],
+    SETS_TABLE + [{"set:0": 1, "set:1": None, "set:2": 1}],
+    SETS_TABLE + [[1, 2]],
+    SETS_TABLE + [{"set:0": 1}],
+    SETS_TABLE + [{"set:0": 1, "set:1": 0.1, "set:2": 1}],
+    SETS_TABLE + [{"set:0": True, "set:1": 1, "set:2": 1}],
+    ["fraisse", "--class", "graphs", "--check", "rado", "--max-size", "2",
+     "--table", {"graph:0:": 1, "graph:1:": "t", "graph:2:": 1,
+                 "graph:2:0-1": 1}],
 ], ids=["glq-context", "missing-table", "negative-level",
         "negative-max-size", "negative-bound", "threads", "verify-ctx",
         "sym-orbit-component", "sym-orbit-slot", "sym-orbit-missing-slot",
         "sym-orbit-junk", "order-orbit-token", "order-orbit-missing-slot",
         "order-orbit-repeated-slot", "order-orbit-constant-0",
-        "boron-measure"])
-def test_refused_input_exits_2(argv):
-    code, out, err = run_cli(*argv)
+        "boron-measure", "table-list-value", "table-null-value",
+        "table-array", "table-missing-key", "table-float", "table-bool",
+        "rado-polynomial"])
+def test_refused_input_exits_2(argv, tmp_path):
+    """Refused input exits 2 with no traceback; a non-string argument is a
+    JSON table, passed as the path of a file holding it."""
+    table = tmp_path / "table.json"
+    for a in argv:
+        if not isinstance(a, str):
+            table.write_text(json.dumps(a))
+    code, out, err = run_cli(*(a if isinstance(a, str) else str(table)
+                               for a in argv))
     assert code == 2 and out == ""
     assert "error:" in err and "Traceback" not in err
 
@@ -242,5 +264,58 @@ def test_orbit_strings_never_raise():
             code = cli.main(["trace", "--ctx", ctx, "--matrix",
                              f"orbit:{x}:{text}"])
         assert code in (0, 2)
+
+    run()
+
+
+def _table_cases(st):
+    """Hypothesis strategy of (class, JSON table) for fraisse --table:
+    objects over table_skeleton keys up to size 2, complete (mostly with
+    integer values) or not, arrays and scalars, with int, float, string,
+    bool, null and list values."""
+    from oligocat.fraisse import table_skeleton
+
+    kinds = {"sets": "set", "orders": "order", "graphs": "graph",
+             "boron": "boron"}
+    skeleton = {c: sorted(table_skeleton(k, 2)) for c, k in kinds.items()}
+    keys = sorted({k for ks in skeleton.values() for k in ks})
+    scalar = st.one_of(
+        st.integers(-3, 3), st.floats(), st.booleans(), st.none(),
+        st.sampled_from(["t", "-3/4", "1/0", "3/", "t^2 - t", "(1", ""]),
+        st.text(max_size=4))
+    value = st.one_of(scalar, st.lists(scalar, max_size=2))
+    mostly_int = st.one_of(st.integers(-3, 3), st.integers(0, 2),
+                           st.sampled_from(["t", "t^2 - t", "1/2"]), value)
+
+    def complete(klass):
+        return st.fixed_dictionaries({k: mostly_int for k in skeleton[klass]})
+
+    def tables(klass):
+        return st.one_of(complete(klass), complete(klass), complete("graphs"),
+                         st.dictionaries(st.sampled_from(keys), value),
+                         st.lists(value, max_size=3), scalar)
+
+    return st.sampled_from(sorted(kinds)).flatmap(
+        lambda klass: st.tuples(st.just(klass), tables(klass)))
+
+
+def test_fraisse_tables_never_raise(tmp_path):
+    """Generated --table files, valid or not, give exit 0, 1 or 2 and no
+    exception, for --check measure and --check rado."""
+    hypothesis = pytest.importorskip("hypothesis")
+    path = tmp_path / "table.json"
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(_table_cases(hypothesis.strategies))
+    def run(case):
+        klass, table = case
+        path.write_text(json.dumps(table))
+        for check in ("measure", "rado"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["fraisse", "--class", klass, "--check",
+                                 check, "--max-size", "2", "--table",
+                                 str(path)])
+            assert code in (0, 1, 2)
 
     run()

@@ -220,3 +220,248 @@ def test_amalgams_have_no_duplicates():
                   am.structure.relabel_key(tuple(range(am.structure.size))),
                   am.into_from_yprime.mapping, am.into_from_x.mapping))
     assert len(keys) == len(ams)
+
+
+# ---------------------------------------------------------------------------
+# The replaced boron-tree, total-order and enumeration paths, kept as oracles
+
+
+def _old_from_newick(text):
+    """The two-pass Newick reader that one-pass from_newick replaced."""
+    import re
+    pos = 0
+
+    def parse():
+        nonlocal pos
+        if pos < len(text) and text[pos] == "(":
+            pos += 1
+            kids = [parse()]
+            while pos < len(text) and text[pos] == ",":
+                pos += 1
+                kids.append(parse())
+            if pos >= len(text) or text[pos] != ")":
+                raise ValueError("unbalanced parentheses in tree text")
+            pos += 1
+            return kids
+        m = re.match(r"[\w.]*", text[pos:])
+        pos += m.end()
+        return None
+
+    shape = parse()
+    if pos != len(text.strip()):
+        raise ValueError("trailing characters in tree text")
+    adj, counter = {}, [0]
+
+    def build(node, parent):
+        counter[0] += 1
+        nid = ("leaf" if node is None else "int", counter[0])
+        adj.setdefault(nid, set())
+        if parent is not None:
+            adj[nid].add(parent)
+            adj[parent].add(nid)
+        for kid in node or ():
+            build(kid, nid)
+
+    build(shape, None)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(adj):
+            if v[0] == "int" and len(adj[v]) == 2:
+                a, b = tuple(adj[v])
+                adj[a].discard(v)
+                adj[b].discard(v)
+                adj[a].add(b)
+                adj[b].add(a)
+                del adj[v]
+                changed = True
+            elif v[0] == "int" and len(adj[v]) in (0, 1) and len(adj) > 1:
+                for w in adj[v]:
+                    adj[w].discard(v)
+                del adj[v]
+                changed = True
+    leaf_nodes = sorted(v for v in adj if v[0] == "leaf")
+    names = {v: i for i, v in enumerate(leaf_nodes)}
+    for v in sorted(adj):
+        names.setdefault(v, len(names))
+    return BoronTree(len(leaf_nodes), {frozenset((names[v], names[w]))
+                                       for v, ws in adj.items() for w in ws})
+
+
+def _old_induced(t, elements):
+    """Steiner tree of the leaves, then the induced path's own suppression
+    loop and numbering."""
+    from itertools import combinations
+    keep = list(elements)
+    k = len(keep)
+    if k <= 1:
+        return BoronTree(k, [])
+    verts = set()
+    for a, b in combinations(keep, 2):
+        verts |= t._path(a, b)
+    adj = {v: set() for v in verts}
+    for e in t.edges:
+        x, y = tuple(e)
+        if x in verts and y in verts:
+            adj[x].add(y)
+            adj[y].add(x)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(adj):
+            if v in keep:
+                continue
+            if len(adj[v]) <= 1:
+                for w in adj[v]:
+                    adj[w].discard(v)
+                del adj[v]
+                changed = True
+            elif len(adj[v]) == 2:
+                a, b = tuple(adj[v])
+                adj[a].discard(v)
+                adj[b].discard(v)
+                adj[a].add(b)
+                adj[b].add(a)
+                del adj[v]
+                changed = True
+    names = {v: i for i, v in enumerate(keep)}
+    for v in adj:
+        names.setdefault(v, len(names))
+    return BoronTree(k, {frozenset((names[v], names[w]))
+                         for v, ws in adj.items() for w in ws})
+
+
+def _newick_texts(t):
+    """Newick texts of a boron tree rooted at each vertex and at the middle
+    of each edge (a leaf root becomes a one-child internal vertex)."""
+    adj = t.adj()
+
+    def text(v, parent):
+        kids = [w for w in sorted(adj[v]) if w != parent]
+        if parent is not None and not kids:
+            return f"x{v}"
+        return "(" + ",".join(text(w, v) for w in kids) + ")"
+
+    out = [text(v, None) for v in sorted(adj)]
+    out += ["(%s,%s)" % (text(a, b), text(b, a))
+            for a, b in sorted(tuple(sorted(e)) for e in t.edges)]
+    return out
+
+
+def _same_tree(new, old):
+    assert new.size == old.size and len(new.edges) == len(old.edges)
+    assert new == old and repr(new) == repr(old)
+
+
+def test_from_newick_matches_two_pass_reader():
+    texts = ["", "a", "()", "(a)", "((a))", "(,)", "((,),(,))",
+             "((,),,(,))", "(((a,b)),c)", "((a.1,b_2),(c,d))"]
+    for n in range(8):
+        for t in all_structures("boron", n):
+            texts += _newick_texts(t)
+    for n in range(6):
+        for t in labeled_boron_trees(n):
+            texts += _newick_texts(t)
+    for text in texts:
+        _same_tree(BoronTree.from_newick(text), _old_from_newick(text))
+    for text in ["((a,b)", "(a,b))", "(a;b)", "a b", "(a,b,c,d)",
+                 "((a,b,c,d),e)", "(a,(b,c,d,e))"]:
+        with pytest.raises(ValueError) as new:
+            BoronTree.from_newick(text)
+        with pytest.raises(ValueError) as old:
+            _old_from_newick(text)
+        assert str(new.value) == str(old.value), text
+
+
+def test_induced_matches_steiner_suppression():
+    from itertools import combinations
+    for n in range(7):
+        for t in labeled_boron_trees(n):
+            for k in range(n + 1):
+                for keep in combinations(range(n), k):
+                    _same_tree(t.induced(keep), _old_induced(t, keep))
+
+
+def test_boron_validation_messages():
+    for size, edges, message in [
+            (1, [(0, 1)], "tiny boron trees have no edges"),
+            (3, [(0, 3), (1, 3)], "not a tree"),
+            (2, [(0, 1), (1, 2)], "leaves must have degree one"),
+            (4, [(0, 4), (1, 4), (2, 4), (3, 4)],
+             "internal vertices must have valence three")]:
+        with pytest.raises(ValueError, match=message):
+            BoronTree(size, edges)
+
+
+def _old_order_completions(x, yp, ip_map, size):
+    """Total-order completions with the tag and dedupe that never fired."""
+    from itertools import permutations
+    from oligocat.fraisse import _LabeledOrder
+    out = []
+    for perm in permutations(range(size)):
+        if all(perm[a] < perm[b] for a in range(x.size)
+               for b in range(x.size) if a < b):
+            if all(perm[ip_map[a]] < perm[ip_map[b]]
+                   for a in range(yp.size) for b in range(yp.size) if a < b):
+                order = tuple(sorted(range(size), key=lambda v: perm[v]))
+                out.append(("order", order))
+    seen, result = set(), []
+    for _, order in out:
+        if order not in seen:
+            seen.add(order)
+            result.append(_LabeledOrder(size, order))
+    return result
+
+
+# glued carriers up to this size; at 7 the pair of runs takes about 25 s
+ORDER_SPAN_SIZE = 6
+
+
+def test_order_completions_match_deduplicating_path(monkeypatch):
+    from itertools import combinations
+    from oligocat import fraisse
+    spans = []
+    m = ORDER_SPAN_SIZE
+    for y in range(m + 1):
+        for x in range(y, m + 1):
+            for yp in range(y, m + 1 - x + y):
+                for im in combinations(range(x), y):
+                    for jm in combinations(range(yp), y):
+                        spans.append((
+                            EmbeddingMap(TotalOrder(y), TotalOrder(x), im),
+                            EmbeddingMap(TotalOrder(y), TotalOrder(yp), jm)))
+
+    def listing():
+        monkeypatch.setattr(fraisse, "_amalgam_cache", {})
+        return [[repr(am) for am in enumerate_amalgamations(i, j)]
+                for i, j in spans]
+
+    new = listing()
+    monkeypatch.setattr(fraisse, "_completions", _old_order_completions)
+    assert listing() == new
+
+
+def _old_all_structures(kind, size):
+    """One dedupe loop per kind, as all_structures had them."""
+    from itertools import combinations, product
+    seen, out = set(), []
+    if kind == "graph":
+        pairs = list(combinations(range(size), 2))
+        for bits in product((0, 1), repeat=len(pairs)):
+            g = Graph(size, [frozenset(p) for p, b in zip(pairs, bits) if b])
+            if g.iso_key() not in seen:
+                seen.add(g.iso_key())
+                out.append(g)
+        return out
+    for t in labeled_boron_trees(size):
+        if t.iso_key() not in seen:
+            seen.add(t.iso_key())
+            out.append(t)
+    return out
+
+
+def test_all_structures_matches_per_kind_loops():
+    for kind, top in [("graph", 5), ("boron", 7)]:
+        for n in range(top + 1):
+            assert ([repr(s) for s in all_structures(kind, n)]
+                    == [repr(s) for s in _old_all_structures(kind, n)])

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -157,6 +158,13 @@ def test_change_level():
     assert change_level(f1, 1) == f1
     with pytest.raises(ValueError):
         change_level(f1, 0)
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS)
+def test_scalar_products_equal_scale(ctx):
+    phi = rand_fn(ctx, product(power(1), sub(2)), random.Random(5), lvl=1)
+    for c in (3, Fraction(1, 2), Fraction(-4, 3), t - 1):
+        assert phi * c == c * phi == phi.scale(c)
 
 
 def test_level_invariance_of_integrate():

@@ -6,7 +6,7 @@ from itertools import product as iproduct
 import pytest
 
 from oligocat import matrixalg
-from oligocat.category import PermObject, hom_basis
+from oligocat.category import PermObject, hom_basis, tensor
 from oligocat.integration import (GSetMap, SchwartzFunction, change_level,
                                   pullback, pushforward)
 from oligocat.matrixalg import (EndAlgebra, InvariantMatrix,
@@ -211,6 +211,81 @@ def test_matmul_matches_finite_symmetric_group():
                         counts[key] = counts.get(key, 0) + 1
                     r = _orbit_of(zx, p, q, x.n_comps(), level)
                     assert counts == expected.get(r, {}), (z, y, x, level)
+
+
+def _pair(p, q, y):
+    """The point (p, q) of P x Y, Y with y.n_comps() components."""
+    return p[0] * y.n_comps() + q[0], p[1] + q[1]
+
+
+def _orbit_matrix(x, y, pat):
+    """B_pat: the 0/1 indicator matrix X -> Y of one orbit of Y x X."""
+    return InvariantMatrix(sym, x, y,
+                           SchwartzFunction.from_orbit(sym, product(y, x), pat))
+
+
+def test_transpose_and_trace_match_finite_symmetric_group():
+    """Over [5]: transpose(B_p) is the indicator of the swapped points of
+    p, and trace(B_p) at t = 5 counts the x with (x, x) in p, at levels 0
+    and 1.  Y x X has at most four slots, so over [5] every orbit has a
+    point."""
+    n = 5
+    at = EvalPoint.rational(n)
+    sets = [power(1), inj(2), sub(2), MIXED]
+    for level in (0, 1):
+        for y, x in iproduct(sets, repeat=2):
+            yx, xy = product(y, x), product(x, y)
+            swapped = {}
+            for q in _points(y, n):
+                for p in _points(x, n):
+                    swapped.setdefault(_orbit_of(yx, q, p, x.n_comps(), level),
+                                       set()).add(
+                        _orbit_of(xy, p, q, y.n_comps(), level))
+            assert set(swapped) == set(sym.orbits(yx, level))
+            for pat, image in swapped.items():
+                got = _orbit_matrix(x, y, pat).transpose().entries.terms
+                assert got == {r: Poly.one() for r in image}, (y, x, level)
+                if y == x:
+                    diagonal = sum(
+                        _orbit_of(yx, p, p, x.n_comps(), level) == pat
+                        for p in _points(x, n))
+                    assert evaluate(trace(_orbit_matrix(x, x, pat)),
+                                    at) == diagonal, (x, level)
+
+
+def test_tensor_matches_finite_symmetric_group():
+    """Over [4]: the support of tensor(B_p, B_q) on the orbits with a point
+    is the orbits of the points whose restrictions lie in p and q, with
+    coefficient 1; and the supports over all (p, q) partition the orbits of
+    (Y1 x Y2) x (X1 x X2).  Each of the four sets takes each of the four
+    places Y1, X1, Y2, X2 once, at levels 0 and 1."""
+    n = 4
+    sets = [power(1), inj(2), sub(2), MIXED]
+    for level in (0, 1):
+        for k in range(4):
+            y1, x1, y2, x2 = sets[k:] + sets[:k]
+            y1x1, y2x2 = product(y1, x1), product(y2, x2)
+            yy, xx = product(y1, y2), product(x1, x2)
+            expected, seen = {}, set()
+            for py1, py2, px1, px2 in iproduct(*(_points(s, n) for s in
+                                                 (y1, y2, x1, x2))):
+                r = _orbit_of(product(yy, xx), _pair(py1, py2, y2),
+                              _pair(px1, px2, x2), xx.n_comps(), level)
+                seen.add(r)
+                expected.setdefault(
+                    (_orbit_of(y1x1, py1, px1, x1.n_comps(), level),
+                     _orbit_of(y2x2, py2, px2, x2.n_comps(), level)),
+                    set()).add(r)
+            cover = []
+            for p in sym.orbits(y1x1, level):
+                for q in sym.orbits(y2x2, level):
+                    got = tensor(_orbit_matrix(x1, y1, p),
+                                 _orbit_matrix(x2, y2, q)).entries.terms
+                    assert set(got.values()) <= {Poly.one()}
+                    assert seen & set(got) == expected.get((p, q), set())
+                    cover.extend(got)
+            assert len(cover) == len(set(cover))
+            assert set(cover) == set(sym.orbits(product(yy, xx), level))
 
 
 COEFFS = [0, 0, 1, -1, 3, Fraction(1, 2), t - 2, t * t - 3 * t + 1]

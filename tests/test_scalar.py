@@ -126,6 +126,10 @@ def test_parse_without_spaces():
     assert Poly.from_text("-t+1") == 1 - t
     assert Poly.from_text("(t^2-t)/2") == binomial_poly(2)
     assert Poly.from_text("2*t^2 + 3t") == 2 * t * t + 3 * t
+    assert Poly.from_text("-3/4") == Poly.const(Fraction(-3, 4))
+    for text in ["", "3/", "t^", "(1", "-"]:
+        with pytest.raises(ValueError, match="unexpected end"):
+            Poly.from_text(text)
 
 
 def test_poly_division_helpers():
