@@ -47,14 +47,20 @@ def hom_basis(x: PermObject, y: PermObject) -> list[InvariantMatrix]:
 
 
 def tensor(m: InvariantMatrix, n: InvariantMatrix) -> InvariantMatrix:
-    """Kronecker product on entries; on objects the cartesian product."""
+    """Kronecker product on entries; on objects the cartesian product.
+
+    m as a column 1 -> Y1 x X1 after n as a row Y2 x X2 -> 1 is a
+    composition over the one-point set: its entry on a point of
+    (Y1 x X1) x (Y2 x X2) is m(y1, x1) n(y2, x2).  Reordering the factors
+    to (Y1 x Y2) x (X1 x X2) is a bijection, pushed with fibre measure 1."""
     ctx = m.ctx
     x1, y1, x2, y2 = m.domain, m.codomain, n.domain, n.codomain
-    p1 = GSetMap.proj_product([y1, y2, x1, x2], [0, 2])
-    p2 = GSetMap.proj_product([y1, y2, x1, x2], [1, 3])
-    ent = pullback(p1, m.entries) * pullback(p2, n.entries)
+    column = InvariantMatrix(ctx, one(), product(y1, x1), m.entries)
+    row = InvariantMatrix(ctx, product(y2, x2), one(), n.entries)
+    reorder = GSetMap.proj_product([y1, x1, y2, x2], [0, 2, 1, 3])
     # the flattened expression equals (y1 x y2) x (x1 x x2) on the nose
-    return InvariantMatrix(ctx, product(x1, x2), product(y1, y2), ent)
+    return InvariantMatrix(ctx, product(x1, x2), product(y1, y2),
+                           pushforward(reorder, matmul(column, row).entries))
 
 
 def identity_morphism(x: PermObject) -> InvariantMatrix:

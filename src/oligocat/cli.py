@@ -127,13 +127,6 @@ def matrix_json(m: InvariantMatrix) -> dict:
             "level": m.level, "terms": terms}
 
 
-def function_json(phi: SchwartzFunction) -> dict:
-    terms = sorted(
-        ({"orbit": phi.ctx.orbit_text(phi.expr, pat), "coeff": c.to_text()}
-         for pat, c in phi.terms.items()), key=lambda d: d["orbit"])
-    return {"domain": phi.expr.to_text(), "level": phi.level, "terms": terms}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="oligocat",

@@ -709,15 +709,17 @@ class CandidateMeasure:
         self.embedding_rule = embedding_rule
         self.structure_rule = structure_rule
 
-    def of_embedding(self, emb: EmbeddingMap) -> Poly:
+    def ratio(self, emb: EmbeddingMap) -> tuple[Poly, Poly]:
+        """The value of an embedding as (numerator, denominator): the
+        embedding rule's value over 1, or in R-measure form the structure
+        values of the target and of the source, which must not be zero."""
         if self.embedding_rule is not None:
-            return _as_poly(self.embedding_rule(emb))
-        num = _as_poly(self.structure_rule(emb.dst))
+            return _as_poly(self.embedding_rule(emb)), Poly.one()
         den = _as_poly(self.structure_rule(emb.src))
-        if not den.is_constant() or den.constant() == 0:
+        if den.is_zero():
             raise ZeroDivisionError(
-                f"{self.name}: structure value of the source is not a unit")
-        return num / den.constant()
+                f"{self.name}: structure value of the source is zero")
+        return _as_poly(self.structure_rule(emb.dst)), den
 
     def of_structure(self, s: Structure) -> Poly:
         if self.structure_rule is None:
@@ -904,9 +906,12 @@ def verify_measure(kind: str, candidate: CandidateMeasure, max_size: int,
         failures.append(witness)
         return first_failure_only
 
-    # normalization and iso-invariance
+    # normalization and iso-invariance; the identities on embedding values
+    # are checked multiplied through by their denominators, which in
+    # R-measure form are polynomials
     for s in structures:
-        if candidate.of_embedding(EmbeddingMap.identity(s)) != Poly.one():
+        num, den = candidate.ratio(EmbeddingMap.identity(s))
+        if num != den:
             if fail(("normalization", repr(s))):
                 return Report(candidate.name, False, failures, counts)
         for perm in list(permutations(range(s.size)))[:6]:
@@ -926,11 +931,11 @@ def verify_measure(kind: str, candidate: CandidateMeasure, max_size: int,
                     continue
                 for jm in _embeddings_upto_auts(z, y):
                     for im in _embeddings_upto_auts(y, x):
-                        lhs = candidate.of_embedding(im.compose(jm))
-                        rhs = (candidate.of_embedding(im)
-                               * candidate.of_embedding(jm))
+                        num, den = candidate.ratio(im.compose(jm))
+                        num_i, den_i = candidate.ratio(im)
+                        num_j, den_j = candidate.ratio(jm)
                         n_mult += 1
-                        if lhs != rhs:
+                        if num * den_i * den_j != num_i * num_j * den:
                             if fail(("multiplicativity", repr(z), repr(y),
                                      repr(x), im.mapping, jm.mapping)):
                                 return Report(candidate.name, False, failures,
@@ -941,12 +946,14 @@ def verify_measure(kind: str, candidate: CandidateMeasure, max_size: int,
     n_amalg = 0
     for y, i, j in _span_representatives(kind, structures, max_size):
         amalgams = enumerate_amalgamations(i, j)
-        lhs = candidate.of_embedding(i)
-        rhs = Poly.zero()
+        num_i, den_i = candidate.ratio(i)
+        num, den = Poly.zero(), Poly.one()  # the sum over the amalgams
         for am in amalgams:
-            rhs = rhs + candidate.of_embedding(am.into_from_yprime)
+            n, d = candidate.ratio(am.into_from_yprime)
+            num, den = (num + n, den) if d == den else (num * d + n * den,
+                                                        den * d)
         n_amalg += 1
-        if lhs != rhs:
+        if num_i * den != num * den_i:
             if fail(("amalgamation", repr(i.dst), repr(y), repr(j.dst),
                      i.mapping, j.mapping, len(amalgams))):
                 return Report(candidate.name, False, failures, counts)
@@ -1116,8 +1123,10 @@ def boron_theta_witness() -> Report:
     failures = []
     for name, measure, c in [("mu", boron_mu(), Fraction(-1, 2)),
                              ("nu", boron_nu(), Fraction(0))]:
-        vals = {k: measure.of_embedding(e).constant()
-                for k, e in alpha_embs.items()}
+        vals = {}
+        for k, e in alpha_embs.items():
+            num, den = measure.ratio(e)
+            vals[k] = num.constant() / den.constant()
         expect = {"a1": 3 * c + 3, "a2": 3 * c + 2, "a3": 3 * c + 1,
                   "a4": c, "a5p": c, "a5q": -1 - c}
         for k in vals:

@@ -107,48 +107,46 @@ class InvariantMatrix:
                                change_level(self.entries, level))
 
 
-# One composition table per (ctx, Z, Y, X, level).  Composition integrates
-# over the middle variable, so each coefficient of b after a is a fibre
-# measure over one orbit R of Z x X.  ctx.composition_terms extends every R
-# by the Y slots; the table groups its terms as rows[o_zy][o_yx] = ((R, c),
-# ...), with c the summed measure of the extensions whose restrictions are
-# o_zy on Z x Y and o_yx on Y x X, and zero sums dropped.
+# Composition rows per (ctx, Z, Y, X, level), filled on first use.
+# Composition integrates over the middle variable, so each coefficient of b
+# after a is a fibre measure over one orbit R of Z x X.  The row of an orbit
+# o_zy of Z x Y comes from ctx.composition_row, which extends o_zy by the X
+# slots; it groups the terms as row[o_yx] = ((R, c), ...), with c the summed
+# measure of the extensions whose restriction to Y x X is o_yx, and zero
+# sums dropped.  matmul reads the rows of b's support only.
 _compose_cache: dict = {}
 
 
-def _composition_table(ctx, z: SetExpr, y: SetExpr, x: SetExpr, level: int):
-    key = (ctx, z, y, x, level)
-    rows = _compose_cache.get(key)
-    if rows is None:
+def _composition_row(ctx, z: SetExpr, y: SetExpr, x: SetExpr, level: int,
+                     o_zy):
+    rows = _compose_cache.setdefault((ctx, z, y, x, level), {})
+    row = rows.get(o_zy)
+    if row is None:
         sums: dict = {}
-        for o_zy, o_yx, image, coeff in ctx.composition_terms(z, y, x, level):
-            group = sums.setdefault(o_zy, {}).setdefault(o_yx, {})
+        for o_yx, image, coeff in ctx.composition_row(z, y, x, level, o_zy):
+            group = sums.setdefault(o_yx, {})
             group[image] = group[image] + coeff if image in group else coeff
-        rows = _compose_cache[key] = {
-            o_zy: {o_yx: tuple((image, c) for image, c in group.items()
-                               if not c.is_zero())
-                   for o_yx, group in row.items()}
-            for o_zy, row in sums.items()}
-    return rows
+        row = rows[o_zy] = {
+            o_yx: tuple((image, c) for image, c in group.items()
+                        if not c.is_zero())
+            for o_yx, group in sums.items()}
+    return row
 
 
 def matmul(b: InvariantMatrix, a: InvariantMatrix) -> InvariantMatrix:
     """Composition b after a: (b a)(z, x) is the integral over y of
     b(z, y) a(y, x).  The coefficient on an orbit R of Z x X is the sum of
     c_b c_a times the fibre measure over R, over the support pairs of b on
-    Z x Y and a on Y x X, read from the composition table of (Z, Y, X)."""
+    Z x Y and a on Y x X, read from the composition rows of b's support."""
     if a.codomain != b.domain:
         raise ValueError("inner sets do not match")
     ctx = a.ctx
     x, y, z = a.domain, a.codomain, b.codomain
     lvl = max(a.level, b.level)
-    rows = _composition_table(ctx, z, y, x, lvl)
     a_terms = change_level(a.entries, lvl).terms
     terms: dict = {}
     for ob, cb in change_level(b.entries, lvl).terms.items():
-        row = rows.get(ob)
-        if row is None:
-            continue
+        row = _composition_row(ctx, z, y, x, lvl, ob)
         for oa, ca in a_terms.items():
             group = row.get(oa)
             if not group:
@@ -167,15 +165,6 @@ def trace(a: InvariantMatrix) -> Poly:
         raise ValueError("trace of a non-square matrix")
     diag = GSetMap.diagonal(a.domain)
     return integrate(pullback(diag, a.entries))
-
-
-def matrix_power(a: InvariantMatrix, n: int) -> InvariantMatrix:
-    if a.domain != a.codomain:
-        raise ValueError("power of a non-square matrix")
-    out = InvariantMatrix.identity(a.ctx, a.domain, a.level)
-    for _ in range(n):
-        out = matmul(out, a)
-    return out
 
 
 def _power_traces(a: InvariantMatrix, n: int) -> list[Poly]:
@@ -256,14 +245,13 @@ class EndAlgebra:
                                                 0, terms))
 
     def structure_constants(self):
-        """c[i][j] = coordinates of basis_i * basis_j: the rows of the
-        composition table of (X, X, X) at level 0."""
+        """c[i][j] = coordinates of basis_i * basis_j: the composition rows
+        of (X, X, X) at level 0, one per basis orbit."""
         if self._sc is None:
-            rows = _composition_table(self.ctx, self.x, self.x, self.x, 0)
             index = {pat: k for k, pat in enumerate(self.orbit_list)}
             self._sc = []
             for oi in self.orbit_list:
-                row = rows.get(oi, {})
+                row = _composition_row(self.ctx, self.x, self.x, self.x, 0, oi)
                 plane = []
                 for oj in self.orbit_list:
                     vec = [Poly.zero()] * self.dim
@@ -372,14 +360,28 @@ class SpecializedEnd:
         """Minimal polynomial of v by linear-dependence search on the powers
         unit, unit*v, unit*v^2, ...  The unit is the identity by default; an
         idempotent e with v in eAe gives the minimal polynomial in the corner
-        algebra eAe.  The powers are independent until the first dependency,
-        so the one kernel vector then found, made monic, is the answer."""
-        powers = [list(self.ident if unit is None else unit)]
-        for _ in range(self.dim + 1):
-            kernel = _nullspace(list(zip(*powers)), len(powers))
-            if kernel:
-                return Poly(kernel[0]).monic()
-            powers.append(self.mul(powers[-1], v))
+        algebra eAe.  Each new power is reduced against the echelon rows of
+        the powers before it, each row carrying its combination of powers;
+        the powers are independent until the first one that reduces to
+        zero, and its combination, which has leading coefficient 1, is the
+        answer."""
+        rows = []  # (pivot, reduced power, its combination of the powers)
+        power = list(self.ident if unit is None else unit)
+        for k in range(self.dim + 1):
+            w = list(power)
+            combo = [_FRACTION_ZERO] * k + [Fraction(1)]
+            for piv, row, row_combo in rows:
+                f = w[piv]
+                if f:
+                    w = [a - f * b for a, b in zip(w, row)]
+                    for i, b in enumerate(row_combo):
+                        combo[i] -= f * b
+            piv = next((i for i, a in enumerate(w) if a), None)
+            if piv is None:
+                return Poly(combo)
+            f = w[piv]
+            rows.append((piv, [a / f for a in w], [a / f for a in combo]))
+            power = self.mul(power, v)
         raise ArithmeticError(
             "minimal polynomial not found (dimension bound hit)")
 

@@ -21,7 +21,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .scalar import Poly
-from .setexpr import SetExpr, product
+from .setexpr import SetExpr
 
 # Pattern classes are tuples of items; an item is a slot id >= 0 or -i for
 # the i-th pinned constant (so constants sort first within a class).
@@ -151,37 +151,15 @@ class OrderContext:
 
     def refine(self, expr: SetExpr, pat: OrderPattern, level2: int
                ) -> list[OrderPattern]:
-        """New constants are appended above all existing ones; that never
-        reorders Sub slots, so the refined patterns stay canonical."""
+        """The new constants form a chain above the existing ones; that
+        never reorders Sub slots, so the refined patterns stay canonical."""
         if level2 < pat.level:
             raise ValueError("refinement level must not decrease")
-        pats = [pat]
-        for newc in range(pat.level + 1, level2 + 1):
-            nxt = []
-            for p in pats:
-                nxt.extend(self._insert_constant(expr, p, newc))
-            pats = nxt
-        return pats
-
-    def _insert_constant(self, expr, pat, newc):
-        """All placements of constant #newc above every existing constant."""
-        last_const_pos = -1
-        for i, cls in enumerate(pat.classes):
-            if any(x < 0 for x in cls):
-                last_const_pos = i
-        out = []
-        ncls = len(pat.classes)
-        # joining an existing generic class above the last constant
-        for i in range(last_const_pos + 1, ncls):
-            classes = list(pat.classes)
-            classes[i] = tuple(sorted(classes[i] + (-newc,)))
-            out.append(OrderPattern(pat.comp, newc, tuple(classes)))
-        # a new singleton class in any gap above the last constant
-        for i in range(last_const_pos + 1, ncls + 1):
-            classes = list(pat.classes)
-            classes.insert(i, (-newc,))
-            out.append(OrderPattern(pat.comp, newc, tuple(classes)))
-        return out
+        new = tuple(-i for i in range(pat.level + 1, level2 + 1))
+        chain = ((-pat.level,) if pat.level else ()) + new
+        return [OrderPattern(pat.comp, level2,
+                             tuple(tuple(sorted(cls)) for cls in classes))
+                for classes in _weak_orders(new, (), (chain,), pat.classes)]
 
     # -- pushforward primitive -------------------------------------------
 
@@ -218,75 +196,80 @@ class OrderContext:
 
     # -- composition primitive -------------------------------------------
 
-    def composition_terms(self, z: SetExpr, y: SetExpr, x: SetExpr,
-                          level: int):
-        """The fibres of Z x Y x X -> Z x X, orbit by orbit of Z x X.
+    def composition_row(self, z: SetExpr, y: SetExpr, x: SetExpr,
+                        level: int, o_zy: OrderPattern):
+        """One row of the fibres of Z x Y x X -> Z x X: the extensions of
+        the orbit o_zy of Z x Y by the X items.
 
-        Each Y item of a component of Y goes into a class of R or into a
-        new class in any gap; Y's separated groups take distinct classes and
-        each Y Sub group is a chain in strictly increasing classes, so every
-        orbit of Z x Y x X over R comes out once.  Yields (o_zy, o_yx, R,
-        coeff): the restrictions to Z x Y and Y x X, canonical as they come,
+        Each X item of a component of X goes into a class of o_zy or into
+        a new class in any gap; X's separated groups take distinct classes
+        and each X Sub group is a chain in strictly increasing classes, so
+        every orbit of Z x Y x X over o_zy comes out once.  Yields (o_yx, R,
+        coeff): the restrictions to Y x X and Z x X, canonical as they come,
         and coeff the sum over those extensions of the fibre measure
         _gap_product(spec, gaps), the gaps counting the classes of Y items
         only between the pinned classes (a constant or a Z or X item)."""
+        patterns, gap_values, coeffs = self._row_memo(z, y, x, level)
+
+        def intern(comp, classes):
+            pat = patterns.get((comp, classes))
+            if pat is None:
+                pat = patterns[comp, classes] = OrderPattern(comp, level,
+                                                             classes)
+            return pat
+
         nx, ny = x.n_comps(), y.n_comps()
-        gap_values: dict = {}
-        weights: dict = {}
-        for r in self.orbits(product(z, x), level):
-            zc, xc = divmod(r.comp, nx)
-            kz = z.slot_count(zc)
-            top = kz + x.slot_count(xc)  # Y item j is top + j
-            for yc in range(ny):
-                ky = y.slot_count(yc)
-                # item -> its id on Z x Y and on Y x X; constants stay
-                zy_of = {i: i for i in range(-level, kz)}
-                yx_of = {i: i for i in range(-level, 0)}
-                for j in range(ky):
-                    zy_of[top + j] = kz + j
-                    yx_of[top + j] = j
-                for i in range(kz, top):
-                    yx_of[i] = ky + i - kz
-                # class -> (Y items only, its Z x Y class, its Y x X class)
-                split: dict = {}
-                sums: dict = {}
-                for classes in _weak_orders(
-                        range(top, top + ky),
-                        _shifted(y.separated_groups(yc), top),
-                        _shifted(y.sub_groups(yc), top), r.classes):
-                    gaps, zy, yx = [0], [], []
-                    for cls in classes:
-                        parts = split.get(cls)
-                        if parts is None:
-                            parts = split[cls] = (
-                                cls[0] >= top,
-                                tuple(zy_of[i] for i in cls if i in zy_of),
-                                tuple(sorted(yx_of[i] for i in cls
-                                             if i in yx_of)))
-                        y_only, czy, cyx = parts
-                        if y_only:
-                            gaps[-1] += 1
-                        else:
-                            gaps.append(0)
-                        if czy:
-                            zy.append(czy)
-                        if cyx:
-                            yx.append(cyx)
-                    gaps = tuple(gaps)
-                    value = gap_values.get(gaps)
-                    if value is None:
-                        value = gap_values[gaps] = _gap_product(self.spec,
-                                                                gaps)
-                    key = (tuple(zy), tuple(yx))
-                    sums[key] = sums.get(key, 0) + value
-                for (zy, yx), value in sums.items():
-                    if value:
-                        coeff = weights.get(value)
-                        if coeff is None:
-                            coeff = weights[value] = Poly.const(value)
-                        yield (OrderPattern(zc * ny + yc, level, zy),
-                               OrderPattern(yc * nx + xc, level, yx),
-                               r, coeff)
+        zc, yc = divmod(o_zy.comp, ny)
+        kz, ky = z.slot_count(zc), y.slot_count(yc)
+        top = kz + ky  # X item j is top + j
+        for xc in range(nx):
+            kx = x.slot_count(xc)
+            # class -> (Y items only, its Y x X class, its Z x X class); the
+            # classes come sorted, with the X items last in increasing order
+            split: dict = {}
+            sums: dict = {}
+            for classes in _weak_orders(
+                    range(top, top + kx),
+                    _shifted(x.separated_groups(xc), top),
+                    _shifted(x.sub_groups(xc), top), o_zy.classes):
+                gaps, yx, zx = [0], [], []
+                for cls in classes:
+                    parts = split.get(cls)
+                    if parts is None:
+                        parts = split[cls] = (
+                            all(kz <= i < top for i in cls),
+                            tuple(i if i < 0 else i - kz for i in cls
+                                  if i < 0 or i >= kz),
+                            tuple(i if i < top else i - ky for i in cls
+                                  if not kz <= i < top))
+                    y_only, cyx, czx = parts
+                    if y_only:
+                        gaps[-1] += 1
+                    else:
+                        gaps.append(0)
+                    if cyx:
+                        yx.append(cyx)
+                    if czx:
+                        zx.append(czx)
+                gaps = tuple(gaps)
+                value = gap_values.get(gaps)
+                if value is None:
+                    value = gap_values[gaps] = _gap_product(self.spec, gaps)
+                key = (tuple(yx), tuple(zx))
+                sums[key] = sums.get(key, 0) + value
+            for (yx, zx), value in sums.items():
+                if value:
+                    coeff = coeffs.get(value)
+                    if coeff is None:
+                        coeff = coeffs[value] = Poly.const(value)
+                    yield (intern(yc * nx + xc, yx), intern(zc * nx + xc, zx),
+                           coeff)
+
+    @lru_cache(maxsize=None)
+    def _row_memo(self, z: SetExpr, y: SetExpr, x: SetExpr, level: int):
+        """What the rows of one triple share: the patterns of Y x X and
+        Z x X by (component, classes), gap products and coefficients."""
+        return {}, {}, {}
 
     # -- misc -------------------------------------------------------------
 

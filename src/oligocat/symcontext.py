@@ -282,27 +282,37 @@ class SymContext:
 
     # -- composition primitive -------------------------------------------
 
-    def composition_terms(self, z: SetExpr, y: SetExpr, x: SetExpr,
-                          level: int):
-        """The fibres of Z x Y x X -> Z x X, orbit by orbit of Z x X.
+    def composition_row(self, z: SetExpr, y: SetExpr, x: SetExpr,
+                        level: int, o_zy: SymPattern):
+        """One row of the fibres of Z x Y x X -> Z x X: the extensions of
+        the orbit o_zy of Z x Y by the X slots.
 
-        Each Y slot of a component of Y goes to a block of R, to a Y-only
-        block opened before, to a new generic block, or to a new block
-        pinned to a constant in 1..N that no other block uses; two slots of
-        one Y Inj or Sub factor never share a block.  Yields (o_zy, o_yx, R,
-        coeff): the canonical restrictions to Z x Y and Y x X, and coeff the
-        sum over those extensions of ff(N + g_R, g_new) / |H_Y|, with g_R
-        the generic blocks of R, g_new the new generic blocks and |H_Y| the
-        product of k! over Y's Sub(k) factors.  The extensions of R are
-        labelled, so an orbit P of Z x Y x X over R comes out
-        |H_Y| s_R / s_P times: the weights sum to push_orbit's
-        ff(N + g_R, g_new) s_R / s_P."""
+        Each X slot of a component of X goes to a block of o_zy, to an
+        X-only block opened before, to a new generic block, or to a new
+        block pinned to a constant in 1..N that no block of o_zy uses; two
+        slots of one X Inj or Sub factor never share a block.  Yields
+        (o_yx, R, coeff): the canonical restrictions to Y x X and Z x X, and
+        coeff the sum over those extensions of
+        ff(N + g_R, g_Yonly) s_R / (s_zy |H_X|), with g_R the generic blocks
+        of R, g_Yonly the generic blocks holding only Y slots and |H_X| the
+        product of k! over X's Sub(k) factors.  The extensions are
+        labelled, so an orbit P of Z x Y x X over o_zy comes out
+        |H_X| s_zy / s_P times: the weights sum to push_orbit's
+        ff(N + g_R, g_Yonly) s_R / s_P."""
+        partitions, yx_canon, zx_canon, weights = self._row_memo(z, y, x,
+                                                                 level)
         nx, ny = x.n_comps(), y.n_comps()
-        zy_expr, yx_expr = product(z, y), product(y, x)
-        zy_canon: dict = {}  # canonical patterns by (component, raw blocks)
-        yx_canon: dict = {}
-        weights: dict = {}
-        partitions: dict = {}
+        yx_expr, zx_expr = product(y, x), product(z, x)
+        zc, yc = divmod(o_zy.comp, ny)
+        kz, ky = z.slot_count(zc), y.slot_count(yc)
+        s_zy = self.stabilizer_order(product(z, y), o_zy)
+        nb = len(o_zy.blocks)
+        pins = [pin for _, pin in o_zy.blocks]
+        free = [c for c in range(1, level + 1) if c not in pins]
+        z_part = [tuple(s for s in slots if s < kz)
+                  for slots, _ in o_zy.blocks]
+        y_part = [tuple(s - kz for s in slots if s >= kz)
+                  for slots, _ in o_zy.blocks]
 
         def canon(memo, expr, comp, blocks):
             pat = memo.get((comp, blocks))
@@ -311,53 +321,47 @@ class SymContext:
                     expr, SymPattern(comp, level, blocks))
             return pat
 
-        for r in self.orbits(product(z, x), level):
-            zc, xc = divmod(r.comp, nx)
-            kz = z.slot_count(zc)
-            g_r = r.generic_count()
-            pins = [pin for _, pin in r.blocks]
-            free = [c for c in range(1, level + 1) if c not in pins]
-            z_part = [tuple(s for s in slots if s < kz)
-                      for slots, _ in r.blocks]
-            nb = len(r.blocks)
-            for yc in range(ny):
-                ky = y.slot_count(yc)
-                x_part = [tuple(ky + s - kz for s in slots if s >= kz)
-                          for slots, _ in r.blocks]
-                h_y = 1
-                for g in y.sub_groups(yc):
-                    h_y *= factorial(len(g))
-                if (yc, nb) not in partitions:
-                    partitions[yc, nb] = _partitions(
-                        ky, y.separated_groups(yc), nb)
-                counts: dict = {}
-                for part in partitions[yc, nb]:
-                    new = list(range(nb, len(part)))
-                    for new_pins in _partial_injections(new, free):
-                        zy, yx = [], []
-                        for i, ys in enumerate(part):
-                            if i < nb:
-                                pin, zs, xs = pins[i], z_part[i], x_part[i]
-                            else:
-                                pin, zs, xs = new_pins.get(i), (), ()
-                            if zs or ys:
-                                zy.append((zs + tuple(kz + j for j in ys),
-                                           pin))
-                            if ys or xs:
-                                yx.append((ys + xs, pin))
-                        key = (canon(zy_canon, zy_expr, zc * ny + yc,
-                                     tuple(zy)),
-                               canon(yx_canon, yx_expr, yc * nx + xc,
-                                     tuple(yx)),
-                               len(new) - len(new_pins))
-                        counts[key] = counts.get(key, 0) + 1
-                for (o_zy, o_yx, g_new), n in counts.items():
-                    wkey = (level + g_r, g_new, h_y)
-                    weight = weights.get(wkey)
-                    if weight is None:
-                        weight = weights[wkey] = (
-                            falling_factorial(level + g_r, g_new) / h_y)
-                    yield o_zy, o_yx, r, weight * n
+        for xc in range(nx):
+            if (xc, nb) not in partitions:
+                partitions[xc, nb] = _partitions(
+                    x.slot_count(xc), x.separated_groups(xc), nb)
+            denom = s_zy * prod(factorial(len(g)) for g in x.sub_groups(xc))
+            counts: dict = {}
+            for part in partitions[xc, nb]:
+                new = list(range(nb, len(part)))
+                for new_pins in _partial_injections(new, free):
+                    yx, zx = [], []
+                    g_yonly = 0
+                    for i, xs in enumerate(part):
+                        if i < nb:
+                            pin, zs, ys = pins[i], z_part[i], y_part[i]
+                        else:
+                            pin, zs, ys = new_pins.get(i), (), ()
+                        if ys or xs:
+                            yx.append((ys + tuple(ky + j for j in xs), pin))
+                        if zs or xs:
+                            zx.append((zs + tuple(kz + j for j in xs), pin))
+                        elif pin is None:
+                            g_yonly += 1
+                    key = (canon(yx_canon, yx_expr, yc * nx + xc, tuple(yx)),
+                           canon(zx_canon, zx_expr, zc * nx + xc, tuple(zx)),
+                           g_yonly)
+                    counts[key] = counts.get(key, 0) + 1
+            for (o_yx, r, g_yonly), n in counts.items():
+                wkey = (r, g_yonly, denom)
+                weight = weights.get(wkey)
+                if weight is None:
+                    weight = weights[wkey] = (
+                        falling_factorial(level + r.generic_count(), g_yonly)
+                        * self.stabilizer_order(zx_expr, r) / denom)
+                yield o_yx, r, weight * n
+
+    @lru_cache(maxsize=None)
+    def _row_memo(self, z: SetExpr, y: SetExpr, x: SetExpr, level: int):
+        """What the rows of one triple share: the X slot partitions by
+        (component of X, blocks given), canonical patterns of Y x X and
+        Z x X by (component, raw blocks), and the weights."""
+        return {}, {}, {}, {}
 
     # -- misc -------------------------------------------------------------
 

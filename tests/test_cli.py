@@ -117,6 +117,32 @@ def test_fraisse_commands():
     assert code == 0 and "pass" in out
 
 
+NU_T_TABLE = {"set:0": 1, "set:1": "t", "set:2": "t^2 - t",
+              "set:3": "t^3 - 3t^2 + 2t"}
+NU_T_PASS = ("pass ({'structures': 4, 'multiplicativity': 20, "
+             "'amalgamation-instances': 20})")
+
+
+@pytest.mark.parametrize("table,code,verdict", [
+    (NU_T_TABLE, 0, NU_T_PASS),
+    ({**NU_T_TABLE, "set:2": "t^2"}, 1, "FAIL [('amalgamation', ")],
+    ids=["nu_t", "perturbed"])
+def test_fraisse_polynomial_table(table, code, verdict, tmp_path, capsys):
+    """A table of polynomial values is checked with the identities
+    multiplied through by the source values: the values of the built-in
+    sets-nu_t pass with its counts, a perturbed value fails with a
+    witness."""
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    argv = ["fraisse", "--class", "sets", "--check", "measure",
+            "--max-size", "3"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == f"sets-nu_t up to size 3: {NU_T_PASS}\n"
+    assert cli.main(argv + ["--table", str(path)]) == code
+    assert capsys.readouterr().out.startswith(
+        f"set-table up to size 3: {verdict}")
+
+
 def test_glq_commands():
     code, out, _ = run_cli("glq", "--q", "2", "--what", "pascal")
     assert code == 0 and "pass" in out

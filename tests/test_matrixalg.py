@@ -9,11 +9,10 @@ from oligocat import matrixalg
 from oligocat.category import PermObject, hom_basis, tensor
 from oligocat.integration import (GSetMap, SchwartzFunction, change_level,
                                   pullback, pushforward)
-from oligocat.matrixalg import (EndAlgebra, InvariantMatrix,
-                                _composition_table, _nullspace, _poly_det,
-                                _singular_at, _trace_gram, char_series,
-                                higher_trace, is_semisimple_end, jordan_split,
-                                matmul, matrix_power, min_poly, trace,
+from oligocat.matrixalg import (EndAlgebra, InvariantMatrix, _nullspace,
+                                _poly_det, _singular_at, _trace_gram,
+                                char_series, higher_trace, is_semisimple_end,
+                                jordan_split, matmul, min_poly, trace,
                                 trace_pairing)
 from oligocat.ordercontext import LEGAL_SPECS, OrderContext
 from oligocat.scalar import (EvalPoint, Poly, TruncatedSeries, binomial_poly,
@@ -56,6 +55,16 @@ def matmul_by_pullback(b, a):
     big = (pullback(pzy, change_level(b.entries, lvl))
            * pullback(pyx, change_level(a.entries, lvl)))
     return InvariantMatrix(a.ctx, x, z, pushforward(pzx, big))
+
+
+def tensor_by_pullback(m, n):
+    """The tensor path that composition over the one-point set replaced:
+    pull both factors back to (Y1 x Y2) x (X1 x X2) and multiply."""
+    x1, y1, x2, y2 = m.domain, m.codomain, n.domain, n.codomain
+    p1 = GSetMap.proj_product([y1, y2, x1, x2], [0, 2])
+    p2 = GSetMap.proj_product([y1, y2, x1, x2], [1, 3])
+    ent = pullback(p1, m.entries) * pullback(p2, n.entries)
+    return InvariantMatrix(m.ctx, product(x1, x2), product(y1, y2), ent)
 
 
 def composition_table_by_enumeration(ctx, z, y, x, level):
@@ -104,17 +113,21 @@ TABLE_CASES = (
     ids=[f"{ctx!r}-{z.to_text()}|{y.to_text()}|{x.to_text()}@{level}"
          for ctx, z, y, x, level in TABLE_CASES])
 def test_composition_table_matches_enumeration(ctx, z, y, x, level):
-    """Extending the orbits of Z x X by the Y slots gives the same rows as
+    """Extending each orbit of Z x Y by the X slots gives the same rows as
     enumerating Z x Y x X and pushing each group to Z x X."""
-    got = {o_zy: {o_yx: dict(group) for o_yx, group in row.items() if group}
-           for o_zy, row in _composition_table(ctx, z, y, x, level).items()}
+    got = {}
+    for o_zy in ctx.orbits(product(z, y), level):
+        row = matrixalg._composition_row(ctx, z, y, x, level, o_zy)
+        row = {o_yx: dict(group) for o_yx, group in row.items() if group}
+        if row:
+            got[o_zy] = row
     assert got == composition_table_by_enumeration(ctx, z, y, x, level)
 
 
 def test_matmul_enumerates_no_orbit_of_zyx(monkeypatch):
     """matmul and structure_constants work with image_orbit, push_orbit
     and the orbits of Z x Y x X refused: composition extends the orbits of
-    Z x X and never pushes."""
+    Z x Y in the support by the X slots, row by row, and never pushes."""
     rng = random.Random(43)
     cases = [(sym, sub(2), power(1), inj(2)),
              (sym, power(2), power(2), power(2)),
@@ -148,6 +161,36 @@ def test_matmul_enumerates_no_orbit_of_zyx(monkeypatch):
     for a, b, expected in pairs:
         assert matmul(b, a) == expected
     assert [alg.structure_constants() for alg in algebras] == sc_expected
+
+
+def test_matmul_builds_one_row_per_support_orbit(monkeypatch):
+    """On sparse factors matmul extends only the support orbits of b, one
+    composition row each, and enumerates no orbit of any set."""
+    rng = random.Random(47)
+    cases = [(sym, power(2), power(2), power(2), 0),
+             (sym, MIXED, sub(2), inj(2), 1),
+             (order, power(2), power(2), power(2), 0),
+             (OrderContext(0, 0), MIXED, sub(2), power(1), 1)]
+    pairs = []
+    for ctx, z, y, x, level in cases:
+        a = seeded_matrix(ctx, x, y, rng, level)
+        zy = product(z, y)
+        support = rng.sample(ctx.orbits(zy, level), 3)
+        b = InvariantMatrix(ctx, y, z, SchwartzFunction(
+            ctx, zy, level, {pat: rng.choice(COEFFS[2:]) for pat in support}))
+        pairs.append((ctx, a, b, matmul_by_pullback(b, a)))
+
+    def refuse(*args):
+        raise AssertionError("orbits enumerated during composition")
+
+    cache = {}
+    monkeypatch.setattr(matrixalg, "_compose_cache", cache)
+    monkeypatch.setattr(SymContext, "orbits", refuse)
+    monkeypatch.setattr(OrderContext, "orbits", refuse)
+    for ctx, a, b, expected in pairs:
+        assert matmul(b, a) == expected
+        rows = cache[ctx, b.codomain, b.domain, a.domain, a.level]
+        assert set(rows) == set(b.entries.terms)
 
 
 def _points(expr, n):
@@ -291,6 +334,24 @@ def test_tensor_matches_finite_symmetric_group():
 COEFFS = [0, 0, 1, -1, 3, Fraction(1, 2), t - 2, t * t - 3 * t + 1]
 
 
+def test_tensor_matches_pullback_product():
+    """tensor, a composition over the one-point set pushed to
+    (Y1 x Y2) x (X1 x X2), equals the product of the two pullbacks, in sym
+    and the four order measures, with unions and levels 0 and 1 mixed."""
+    rng = random.Random(53)
+    cases = [(power(1), MIXED, sub(2), power(1), 0, 0),
+             (inj(2), power(1), power(1), MIXED, 0, 0),
+             (MIXED, power(1), power(1), power(1), 1, 0),
+             (power(1), power(1), MIXED, power(1), 0, 1)]
+    for ctx in [sym] + ORDERS:
+        for x1, y1, x2, y2, lm, ln in cases:
+            m = seeded_matrix(ctx, x1, y1, rng, lm)
+            n = seeded_matrix(ctx, x2, y2, rng, ln)
+            got = tensor(m, n)
+            assert got.level == max(lm, ln)
+            assert got == tensor_by_pullback(m, n), (ctx, lm, ln)
+
+
 def seeded_matrix(ctx, x, y, rng, level=0):
     """A matrix x -> y with seeded coefficients, about a quarter zero."""
     yx = product(y, x)
@@ -299,7 +360,7 @@ def seeded_matrix(ctx, x, y, rng, level=0):
 
 
 def test_matmul_matches_pullback_product_pushforward():
-    """Differential test of the composition table against the old path."""
+    """Differential test of the composition rows against the old path."""
     sets = [power(1), power(2), inj(2), sub(2), union(power(1), sub(2))]
     rng = random.Random(41)
     for ctx in (sym, order):
@@ -549,8 +610,11 @@ def test_end_algebra_associativity():
 
 def test_matrix_power_and_apply():
     a = InvariantMatrix.all_ones(sym, power(1))
-    assert matrix_power(a, 2) == a.scale(t)
-    assert matrix_power(a, 0) == InvariantMatrix.identity(sym, power(1))
+    powers = [InvariantMatrix.identity(sym, power(1))]
+    for _ in range(3):
+        powers.append(matmul(powers[-1], a))
+    assert powers[2] == a.scale(t)
+    assert powers[3] == a.scale(t * t)
 
 
 def test_poly_det_against_sympy():
@@ -674,3 +738,43 @@ def test_specialized_end_matches_dense_fractions(ctx, x, t0):
         assert all(type(c) is Fraction for c in got)
     assert sp.is_commutative() == is_commutative_by_mul(sc)
     assert sp.center_basis() == center_basis_by_mul(sc)
+
+
+def min_poly_by_nullspace(sp, v, unit=None):
+    """The minimal-polynomial search that one elimination pass replaced:
+    the kernel of all the powers so far, found afresh for each degree."""
+    powers = [list(sp.ident if unit is None else unit)]
+    for _ in range(sp.dim + 1):
+        kernel = _nullspace(list(zip(*powers)), len(powers))
+        if kernel:
+            return Poly(kernel[0]).monic()
+        powers.append(sp.mul(powers[-1], v))
+    raise ArithmeticError("minimal polynomial not found")
+
+
+@pytest.mark.parametrize("ctx,x,t0", SPECIALIZED_CASES)
+def test_min_poly_matches_nullspace_search(ctx, x, t0):
+    """min_poly equals the per-degree kernel search on seeded elements,
+    basis elements, 0 and 1, and in the corners of the primitive central
+    idempotents where the algebra splits."""
+    from oligocat.category import PermObject, idempotent_decompose
+    at = EvalPoint.rational(t0)
+    sp = EndAlgebra(ctx, x).specialize(at)
+    rng = random.Random(f"min_poly {ctx!r} {x.to_text()} {t0}")
+    elements = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 if rng.random() < p else Fraction(0)
+                 for _ in range(sp.dim)] for p in (1, 0.5, 0.2)]
+    elements += unit_vectors(sp.dim) + [[Fraction(0)] * sp.dim,
+                                        list(sp.ident)]
+    for v in elements:
+        assert sp.min_poly(v) == min_poly_by_nullspace(sp, v)
+    if t0 == Fraction(1, 2):
+        return  # not split semisimple there
+    idempotents = [sp.element(e) for e, _ in
+                   idempotent_decompose(PermObject(ctx, x), at)]
+    assert len(idempotents) > 1
+    for e in idempotents:
+        for v in elements[:3]:
+            corner = sp.mul(sp.mul(e, v), e)
+            assert (sp.min_poly(corner, unit=e)
+                    == min_poly_by_nullspace(sp, corner, unit=e))

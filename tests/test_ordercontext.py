@@ -109,6 +109,26 @@ def test_refinement_additivity_all_specs():
                     assert integrate(change_level(f, lvl)) == integrate(f)
 
 
+@pytest.mark.parametrize("expr", [power(2), sub(2), product(sub(2), inj(2)),
+                                  union(power(1), sub(3))],
+                         ids=lambda e: e.to_text())
+def test_refine_lists_the_orbits_over_the_pattern(expr):
+    """refine(pat, level2) lists, each once, the orbits at level2 that
+    restrict to pat when the constants above its level are forgotten."""
+    for level in range(3):
+        for level2 in range(level, 4):
+            over = {}
+            for q in ctx.orbits(expr, level2):
+                classes = tuple(c for c in (
+                    tuple(i for i in cls if i >= -level) for cls in q.classes)
+                    if c)
+                over.setdefault(classes, set()).add(q)
+            for pat in ctx.orbits(expr, level):
+                refined = ctx.refine(expr, pat, level2)
+                assert len(refined) == len(set(refined))
+                assert set(refined) == over[pat.classes]
+
+
 def test_orbit_text_round_trip():
     for expr in [power(2), product(sub(2), sub(2)), inj(2)]:
         for lvl in (0, 1):
