@@ -9,7 +9,6 @@ to structural maps, Frobenius algebra structure and idempotent decomposition.
 from __future__ import annotations
 
 from fractions import Fraction
-import random
 
 from .scalar import EvalPoint, Poly, evaluate
 from .setexpr import SetExpr, product, one, union
@@ -260,36 +259,20 @@ def frobenius(x: PermObject):
 # Idempotent decomposition
 
 
-def idempotent_decompose(x: PermObject, at: EvalPoint, seed: int = 0):
+def idempotent_decompose(x: PermObject, at: EvalPoint):
     """Complete orthogonal primitive central idempotents of End(Vec_X) at a
     rational point, with their categorical dimensions.
 
-    Needs the specialized algebra to be semisimple with rational spectra;
-    anything else is reported by raising ArithmeticError.
+    The identity is split along the spectrum of each element of a basis of
+    the center in turn.  Every element of that basis then acts as a scalar
+    on each piece, and so does every central element: the pieces are
+    primitive.  Needs the specialized algebra to be semisimple with rational
+    spectra; anything else is reported by raising ArithmeticError.
     """
-    ctx, xe = x.ctx, x.expr
-    alg = EndAlgebra(ctx, xe)
-    sp = alg.specialize(at)
-    if sp.is_commutative():
-        center = [[Fraction(1) if i == j else Fraction(0)
-                   for j in range(sp.dim)] for i in range(sp.dim)]
-    else:
-        center = sp.center_basis()
-
+    sp = EndAlgebra(x.ctx, x.expr).specialize(at)
     idems = [list(sp.ident)]
-    rng = random.Random(seed)
-    attempts = [list(b) for b in center]
-    for _ in range(4):
-        z = [Fraction(0)] * sp.dim
-        for b in center:
-            c = Fraction(rng.randint(-5, 5))
-            z = [a + c * v for a, v in zip(z, b)]
-        attempts.append(z)
-    for z in attempts:
-        new = []
-        for e in idems:
-            new.extend(_split_idempotent(sp, e, z))
-        idems = new
+    for z in sp.center_basis():
+        idems = [piece for e in idems for piece in _split_idempotent(sp, e, z)]
     # orthogonality, completeness
     total = [Fraction(0)] * sp.dim
     for e in idems:

@@ -169,7 +169,6 @@ def main(argv=None) -> int:
     p.add_argument("--ctx", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--at", required=True)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("frobenius", help="Frobenius axiom report")
     p.add_argument("--ctx", required=True)
@@ -292,7 +291,7 @@ def _dispatch(args) -> int:
         if at.mode != "rational":
             raise UsageError("decompose needs a rational --at point")
         rows = []
-        for mat, dim in idempotent_decompose(x, at, seed=args.seed):
+        for mat, dim in idempotent_decompose(x, at):
             rows.append({"idempotent": matrix_json(mat)["terms"],
                          "dimension": str(dim)})
         if args.format == "json":

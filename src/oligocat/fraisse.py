@@ -141,25 +141,6 @@ class Graph(Structure):
     def __repr__(self):
         return f"Graph({self.size}, {sorted(tuple(sorted(e)) for e in self.edges)})"
 
-    @staticmethod
-    def from_edge_list(text: str) -> "Graph":
-        """Edge-list lines "u v"; vertices are the integers that appear
-        (isolated vertices can be declared with a line "u")."""
-        verts, edges = set(), []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            verts.update(int(p) for p in parts)
-            if len(parts) == 2:
-                edges.append((int(parts[0]), int(parts[1])))
-            elif len(parts) != 1:
-                raise ValueError(f"bad edge line {line!r}")
-        names = {v: i for i, v in enumerate(sorted(verts))}
-        return Graph(len(names), [frozenset((names[a], names[b]))
-                                  for a, b in edges])
-
 
 @lru_cache(maxsize=None)
 def _graph_canon_cached(size, edges):
@@ -613,17 +594,15 @@ def _completions(x: Structure, yp: Structure, ip_map, size):
         return [FiniteSet(size)]
 
     if isinstance(x, TotalOrder):
-        out = []
-        for perm in permutations(range(size)):
-            # perm gives the position of each carrier element
-            if all(perm[a] < perm[b] for a in range(x.size)
-                   for b in range(x.size) if a < b):
-                if all(perm[ip_map[a]] < perm[ip_map[b]]
-                       for a in range(yp.size) for b in range(yp.size) if a < b):
-                    # the carrier listed by position, smallest first
-                    out.append(_LabeledOrder(size, tuple(
-                        sorted(range(size), key=lambda v: perm[v]))))
-        return out
+        # the merges of x's chain and yp's chain, which share the carrier
+        # elements in ip_map below x.size; each lists the carrier smallest
+        # first, and they are sorted by the tuple of positions of the
+        # carrier elements 0, 1, ..., the inverse of that listing
+        orders = list(_chain_merges(tuple(range(x.size)), tuple(ip_map),
+                                    set(range(x.size)) & set(ip_map)))
+        orders.sort(key=lambda order: sorted(range(size),
+                                             key=order.__getitem__))
+        return [_LabeledOrder(size, order) for order in orders]
 
     if isinstance(x, Graph):
         ip_inv = {carrier: yv for yv, carrier in enumerate(ip_map)}
@@ -660,6 +639,25 @@ def _completions(x: Structure, yp: Structure, ip_map, size):
         return out
 
     raise TypeError(f"unknown structure {x!r}")
+
+
+def _chain_merges(xs, ys, shared):
+    """The total orders on the union of two chains that extend both.  A
+    shared element comes next only when it heads both chains."""
+    if not xs and not ys:
+        yield ()
+        return
+    a, b = xs[:1], ys[:1]
+    if a and a == b:
+        for rest in _chain_merges(xs[1:], ys[1:], shared):
+            yield a + rest
+        return
+    if a and a[0] not in shared:
+        for rest in _chain_merges(xs[1:], ys, shared):
+            yield a + rest
+    if b and b[0] not in shared:
+        for rest in _chain_merges(xs, ys[1:], shared):
+            yield b + rest
 
 
 class _LabeledOrder(TotalOrder):

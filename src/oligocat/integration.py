@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalar import Poly
-from .setexpr import SetExpr, product, one
+from .setexpr import SetExpr, product
 
 
 class GSetMap:
@@ -86,27 +86,7 @@ class GSetMap:
 
     @staticmethod
     def identity(expr: SetExpr) -> "GSetMap":
-        routes = []
-        for c in range(expr.n_comps()):
-            routes.append((c, [slots for slots in expr.factor_slots(c)]))
-        return GSetMap(expr, expr, routes)
-
-    @staticmethod
-    def spread(source: SetExpr, target: SetExpr, factor_picks) -> "GSetMap":
-        """Single-component map picking whole source factors for each target
-        factor; factor_picks is one source factor index per target factor."""
-        if source.n_comps() != 1 or target.n_comps() != 1:
-            raise ValueError("spread is for single-component expressions")
-        slots = source.factor_slots(0)
-        return GSetMap(source, target, [(0, [slots[i] for i in factor_picks])])
-
-    @staticmethod
-    def projection(source: SetExpr, keep) -> "GSetMap":
-        """Drop all factors except those in `keep` (single component)."""
-        if source.n_comps() != 1:
-            raise ValueError("projection wants a product expression")
-        target = SetExpr([tuple(source.comps[0][i] for i in keep)])
-        return GSetMap.spread(source, target, list(keep))
+        return GSetMap.proj_product([expr], [0])
 
     @staticmethod
     def proj_product(parts: list[SetExpr], keep) -> "GSetMap":
@@ -152,13 +132,7 @@ class GSetMap:
     @staticmethod
     def diagonal(expr: SetExpr) -> "GSetMap":
         """x -> (x, x); a union component lands in its own square."""
-        target = product(expr, expr)
-        n = expr.n_comps()
-        routes = []
-        for c in range(n):
-            slots = expr.factor_slots(c)
-            routes.append((c * n + c, list(slots) + list(slots)))
-        return GSetMap(expr, target, routes)
+        return GSetMap.proj_product([expr], [0, 0])
 
     @staticmethod
     def symmetrization(expr: SetExpr, factor: int = 0) -> "GSetMap":
@@ -170,8 +144,8 @@ class GSetMap:
         if kind != "I":
             raise ValueError("symmetrization applies to an Inj factor")
         comp[factor] = ("S", n)
-        target = SetExpr([tuple(comp)])
-        return GSetMap.spread(expr, target, list(range(len(comp))))
+        return GSetMap(expr, SetExpr([tuple(comp)]),
+                       [(0, expr.factor_slots(0))])
 
     @staticmethod
     def inclusion(parts: list[SetExpr], which: int) -> "GSetMap":
@@ -188,22 +162,12 @@ class GSetMap:
     @staticmethod
     def terminal(expr: SetExpr) -> "GSetMap":
         """The unique map to the one-point set."""
-        return GSetMap(expr, one(), [(0, []) for _ in range(expr.n_comps())])
+        return GSetMap.proj_product([expr], [])
 
     @staticmethod
     def swap(a: SetExpr, b: SetExpr) -> "GSetMap":
         """(x, y) -> (y, x) between a x b and b x a, components and all."""
-        source = product(a, b)
-        target = product(b, a)
-        na, nb = a.n_comps(), b.n_comps()
-        routes = []
-        for ia in range(na):
-            ka = a.slot_count(ia)
-            aslots = a.factor_slots(ia)
-            for ib in range(nb):
-                bslots = [tuple(ka + s for s in g) for g in b.factor_slots(ib)]
-                routes.append((ib * na + ia, list(bslots) + list(aslots)))
-        return GSetMap(source, target, routes)
+        return GSetMap.proj_product([a, b], [1, 0])
 
     def compose(self, inner: "GSetMap") -> "GSetMap":
         """self after inner, flattened to a single structural map."""

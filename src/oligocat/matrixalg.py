@@ -102,10 +102,6 @@ class InvariantMatrix:
     def is_zero(self) -> bool:
         return self.entries.is_zero()
 
-    def at_level(self, level: int) -> "InvariantMatrix":
-        return InvariantMatrix(self.ctx, self.domain, self.codomain,
-                               change_level(self.entries, level))
-
 
 # Composition rows per (ctx, Z, Y, X, level), filled on first use.
 # Composition integrates over the middle variable, so each coefficient of b
@@ -225,7 +221,7 @@ class EndAlgebra:
                             SchwartzFunction.from_orbit(ctx, product(x, x), pat))
             for pat in self.orbit_list]
         self.dim = len(self.basis)
-        self._sc = None
+        self._rows = None
         self._identity = None
 
     def matrix_to_vec(self, a: InvariantMatrix) -> list[Poly]:
@@ -244,22 +240,33 @@ class EndAlgebra:
                                SchwartzFunction(self.ctx, product(self.x, self.x),
                                                 0, terms))
 
-    def structure_constants(self):
-        """c[i][j] = coordinates of basis_i * basis_j: the composition rows
-        of (X, X, X) at level 0, one per basis orbit."""
-        if self._sc is None:
+    def rows(self):
+        """rows[i][j] = ((k, c_ij^k), ...), the nonzero coordinates of
+        basis_i * basis_j sorted by k: the composition rows of (X, X, X) at
+        level 0, one per basis orbit."""
+        if self._rows is None:
             index = {pat: k for k, pat in enumerate(self.orbit_list)}
-            self._sc = []
+            self._rows = []
             for oi in self.orbit_list:
                 row = _composition_row(self.ctx, self.x, self.x, self.x, 0, oi)
-                plane = []
-                for oj in self.orbit_list:
-                    vec = [Poly.zero()] * self.dim
-                    for image, c in row.get(oj, ()):
-                        vec[index[image]] = c
-                    plane.append(vec)
-                self._sc.append(plane)
-        return self._sc
+                self._rows.append([
+                    tuple(sorted((index[image], c)
+                                 for image, c in row.get(oj, ())))
+                    for oj in self.orbit_list])
+        return self._rows
+
+    def structure_constants(self):
+        """The dense table c[i][j][k] = c_ij^k, zeros included."""
+        out = []
+        for plane in self.rows():
+            dense = []
+            for pairs in plane:
+                vec = [Poly.zero()] * self.dim
+                for k, c in pairs:
+                    vec[k] = c
+                dense.append(vec)
+            out.append(dense)
+        return out
 
     def identity_vec(self) -> list[Poly]:
         if self._identity is None:
@@ -267,33 +274,10 @@ class EndAlgebra:
                 InvariantMatrix.identity(self.ctx, self.x))
         return self._identity
 
-    def check_associativity(self) -> bool:
-        """(B_i B_j) B_k = B_i (B_j B_k) on the table:
-        sum_m c_ij^m c_mk^l = sum_m c_jk^m c_im^l for every l."""
-        sc = self.structure_constants()
-
-        def combine(coeffs, rows):
-            out = [Poly.zero()] * self.dim
-            for a, row in zip(coeffs, rows):
-                if not a.is_zero():
-                    out = [o + a * c for o, c in zip(out, row)]
-            return out
-
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    if (combine(sc[i][j], [plane[k] for plane in sc])
-                            != combine(sc[j][k], sc[i])):
-                        return False
-        return True
-
     def specialize(self, at: EvalPoint) -> "SpecializedEnd":
         if at.mode != "rational":
             raise ValueError("specialization needs a rational evaluation point")
-        sc = [[[evaluate(c, at) for c in row] for row in plane]
-              for plane in self.structure_constants()]
-        ident = [evaluate(c, at) for c in self.identity_vec()]
-        return SpecializedEnd(self, at, sc, ident)
+        return SpecializedEnd(self, at)
 
 
 _FRACTION_ZERO = Fraction(0)
@@ -307,19 +291,20 @@ class SpecializedEnd:
     table[i][j] lists the nonzero (k, n) with c_ij^k = n / den, so products
     run on Python integers."""
 
-    def __init__(self, parent: EndAlgebra, at: EvalPoint, sc, ident):
+    def __init__(self, parent: EndAlgebra, at: EvalPoint):
         self.parent = parent
         self.at = at
-        self.ident = [Fraction(c) for c in ident]
+        self.ident = [Fraction(evaluate(c, at)) for c in parent.identity_vec()]
         self.dim = parent.dim
-        den = lcm(*(c.denominator
-                    for plane in sc for row in plane for c in row if c))
+        values = [[[(k, v) for k, c in pairs if (v := evaluate(c, at))]
+                   for pairs in plane] for plane in parent.rows()]
+        den = lcm(*(v.denominator
+                    for plane in values for pairs in plane for _, v in pairs))
         self.den = den
         self.table = [
-            [tuple((k, c.numerator * (den // c.denominator))
-                   for k, c in enumerate(row) if c)
-             for row in plane]
-            for plane in sc]
+            [tuple((k, v.numerator * (den // v.denominator)) for k, v in pairs)
+             for pairs in plane]
+            for plane in values]
 
     def mul(self, u, v):
         """u * v, on integer numerators over the common denominator of u,
@@ -361,26 +346,22 @@ class SpecializedEnd:
         unit, unit*v, unit*v^2, ...  The unit is the identity by default; an
         idempotent e with v in eAe gives the minimal polynomial in the corner
         algebra eAe.  Each new power is reduced against the echelon rows of
-        the powers before it, each row carrying its combination of powers;
-        the powers are independent until the first one that reduces to
-        zero, and its combination, which has leading coefficient 1, is the
-        answer."""
-        rows = []  # (pivot, reduced power, its combination of the powers)
+        the powers before it, with its combination of the powers carried in
+        the columns dim, dim + 1, ...; the powers are independent until the
+        first one whose first dim columns reduce to zero, and its
+        combination, which has leading coefficient 1, is the answer."""
+        dim = self.dim
+        echelon: dict = {}
         power = list(self.ident if unit is None else unit)
-        for k in range(self.dim + 1):
-            w = list(power)
-            combo = [_FRACTION_ZERO] * k + [Fraction(1)]
-            for piv, row, row_combo in rows:
-                f = w[piv]
-                if f:
-                    w = [a - f * b for a, b in zip(w, row)]
-                    for i, b in enumerate(row_combo):
-                        combo[i] -= f * b
-            piv = next((i for i, a in enumerate(w) if a), None)
-            if piv is None:
-                return Poly(combo)
-            f = w[piv]
-            rows.append((piv, [a / f for a in w], [a / f for a in combo]))
+        for k in range(dim + 1):
+            row = {i: a for i, a in enumerate(power) if a}
+            row[dim + k] = Fraction(1)
+            _reduce(echelon, row)
+            piv = min(row)
+            if piv >= dim:
+                return Poly([row.get(dim + i, _FRACTION_ZERO)
+                             for i in range(k + 1)])
+            _add_pivot(echelon, row, piv)
             power = self.mul(power, v)
         raise ArithmeticError(
             "minimal polynomial not found (dimension bound hit)")
@@ -414,59 +395,80 @@ class SpecializedEnd:
         g = Poly(list(m.coeffs[1:]))  # m(x) = x*g(x) + c0
         return [-c / c0 for c in self.poly_of(g, w)]
 
-    def is_commutative(self) -> bool:
-        table = self.table
-        return all(table[i][j] == table[j][i]
-                   for i in range(self.dim) for j in range(i + 1, self.dim))
-
     def center_basis(self):
         """Basis of the center as coordinate vectors."""
         # z = sum_i z_i e_i is central iff z e_j - e_j z = 0 for every j:
         # one row per (j, k), with entry c_ij^k - c_ji^k in column i, times
         # den, which leaves the kernel alone
         table = self.table
-        mat = {}
-        for j in range(self.dim):
-            for i in range(self.dim):
-                if table[i][j] == table[j][i]:
-                    continue
-                diff = dict(table[i][j])
-                for k, c in table[j][i]:
-                    diff[k] = diff.get(k, 0) - c
-                for k, c in diff.items():
-                    if c:
-                        row = mat.setdefault((j, k),
-                                             [_FRACTION_ZERO] * self.dim)
-                        row[i] = Fraction(c)
-        return _nullspace(list(mat.values()), self.dim)
+
+        def constraints():
+            for j in range(self.dim):
+                rows: dict = {}
+                for i in range(self.dim):
+                    if table[i][j] == table[j][i]:
+                        continue
+                    diff = dict(table[i][j])
+                    for k, c in table[j][i]:
+                        diff[k] = diff.get(k, 0) - c
+                    for k, c in diff.items():
+                        if c:
+                            rows.setdefault(k, []).append((i, c))
+                yield from rows.values()
+
+        return _nullspace(constraints(), self.dim)
 
 
-def _nullspace(mat, width):
-    """Basis of the kernel of the stacked constraint matrix."""
-    rows = [list(r) for r in mat if any(r)]
-    n = len(rows)
-    piv_of_col = {}
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_of_col[c] = r
-        r += 1
-    free = [c for c in range(width) if c not in piv_of_col]
+def _subtract(row, f, other):
+    """row -= f * other, on dicts {column: value} that keep no zeros."""
+    for c, v in other.items():
+        x = row.get(c, 0) - f * v
+        if x:
+            row[c] = x
+        else:
+            row.pop(c, None)
+
+
+def _reduce(echelon, row):
+    """Clear the pivot columns of row in place.  echelon maps each pivot
+    column p to its row without the entry 1 at p; no echelon row has an
+    entry in another pivot column, so one pass clears them all."""
+    for p in [c for c in row if c in echelon]:
+        _subtract(row, row.pop(p), echelon[p])
+
+
+def _add_pivot(echelon, row, p):
+    """Add a reduced row to the echelon with pivot column p, and clear
+    column p from the rows already there."""
+    f = row.pop(p)
+    row = {c: v / f for c, v in row.items()}
+    for other in echelon.values():
+        g = other.pop(p, None)
+        if g:
+            _subtract(other, g, row)
+    echelon[p] = row
+
+
+def _nullspace(rows, width):
+    """Basis of the kernel of a matrix whose rows, each an iterable of
+    (column, value) pairs, are read one at a time.  Each row is reduced
+    against the reduced echelon rows found so far, and dropped when it
+    reduces to zero; otherwise its first column becomes a pivot.  The basis
+    is read from the reduced row echelon form, one vector per free column."""
+    echelon: dict = {}
+    for pairs in rows:
+        row = {c: Fraction(v) for c, v in pairs if v}
+        _reduce(echelon, row)
+        if row:
+            _add_pivot(echelon, row, min(row))
     out = []
-    for fc in free:
-        v = [Fraction(0)] * width
+    for fc in range(width):
+        if fc in echelon:
+            continue
+        v = [_FRACTION_ZERO] * width
         v[fc] = Fraction(1)
-        for c, row in piv_of_col.items():
-            v[c] = -rows[row][fc]
+        for p, row in echelon.items():
+            v[p] = -row.get(fc, _FRACTION_ZERO)
         out.append(v)
     return out
 
@@ -490,12 +492,11 @@ def jordan_split(a: InvariantMatrix, at: EvalPoint
 
 
 def _trace_gram(alg: EndAlgebra):
-    """Gram matrix tr(B_i B_j) = sum_k c_ij^k tr(B_k), read from the
-    structure-constant table (trace is linear), and the basis traces."""
+    """Gram matrix tr(B_i B_j) = sum_k c_ij^k tr(B_k), read from the sparse
+    rows of the table (trace is linear), and the basis traces."""
     traces = [trace(b) for b in alg.basis]
-    gram = [[sum((c * tk for c, tk in zip(cij, traces) if not c.is_zero()),
-                 Poly.zero())
-             for cij in row] for row in alg.structure_constants()]
+    gram = [[sum((c * traces[k] for k, c in pairs), Poly.zero())
+             for pairs in plane] for plane in alg.rows()]
     return gram, traces
 
 
@@ -549,7 +550,7 @@ def _singular_at(gram, at: EvalPoint) -> bool:
     """Whether det(gram) vanishes at the point: the Gram entries are
     evaluated first and the kernel is found over Q."""
     values = [[evaluate(c, at) for c in row] for row in gram]
-    return bool(_nullspace(values, len(values)))
+    return bool(_nullspace(map(enumerate, values), len(values)))
 
 
 def is_semisimple_end(ctx, x: SetExpr, at: EvalPoint, seed: int = 0) -> bool:

@@ -303,7 +303,7 @@ def suite_sym_oracle(seed: int = 0, cases=((1, 4), (2, 6), (2, 8))) -> list[Chec
     # the finite decomposition 2 triv + 3 std + 9-dim + 10-dim
     from .category import PermObject, idempotent_decompose
     dec = idempotent_decompose(PermObject(SymContext(), power(2)),
-                               EvalPoint.rational(6), seed=seed)
+                               EvalPoint.rational(6))
     dims = sorted(d for _, d in dec)
     rows.append(Check("sym-oracle", "central-dims-square-at-6",
                       dims == [2, 9, 10, 15],

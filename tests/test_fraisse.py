@@ -55,11 +55,6 @@ def test_boron_newick_parse():
     assert t5.is_isomorphic(all_structures("boron", 5)[0])
 
 
-def test_graph_edge_list_parse():
-    g = Graph.from_edge_list("1 2\n2 3\n")
-    assert g.size == 3 and len(g.edges) == 2
-
-
 def test_embedding_counts():
     assert count_embeddings(FiniteSet(2), FiniteSet(5)) == 20
     k3 = Graph(3, [frozenset((0, 1)), frozenset((1, 2)), frozenset((0, 2))])

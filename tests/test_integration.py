@@ -8,7 +8,7 @@ from oligocat.integration import (GSetMap, SchwartzFunction, change_level,
                                   pushforward)
 from oligocat.ordercontext import OrderContext
 from oligocat.scalar import Poly, falling_factorial
-from oligocat.setexpr import inj, power, product, sub, union
+from oligocat.setexpr import SetExpr, empty, inj, one, power, product, sub, union
 from oligocat.symcontext import SymContext
 
 sym = SymContext()
@@ -99,6 +99,70 @@ def test_fubini_randomized():
             assert integrate(inner) == integrate(phi)
 
 
+# The route builders the structural-map constructors had before each became
+# one proj_product call; the routes must agree, so that maps compare and hash
+# equal and the push and pull caches keep their keys.
+
+def identity_routes(expr):
+    return [(c, list(expr.factor_slots(c))) for c in range(expr.n_comps())]
+
+
+def diagonal_routes(expr):
+    n = expr.n_comps()
+    return [(c * n + c, list(expr.factor_slots(c)) * 2) for c in range(n)]
+
+
+def swap_routes(a, b):
+    routes = []
+    for ia in range(a.n_comps()):
+        ka = a.slot_count(ia)
+        for ib in range(b.n_comps()):
+            bslots = [tuple(ka + s for s in g) for g in b.factor_slots(ib)]
+            routes.append((ib * a.n_comps() + ia,
+                           bslots + list(a.factor_slots(ia))))
+    return routes
+
+
+def spread(source, target, factor_picks):
+    slots = source.factor_slots(0)
+    return GSetMap(source, target, [(0, [slots[i] for i in factor_picks])])
+
+
+def projection(source, keep):
+    target = SetExpr([tuple(source.comps[0][i] for i in keep)])
+    return spread(source, target, list(keep))
+
+
+def test_structural_maps_match_route_builders():
+    exprs = [power(1), inj(2), sub(2), product(sub(2), power(1)),
+             union(power(1), inj(2)), union(power(2), sub(2), one()), one(),
+             empty()]
+    for e in exprs:
+        for got, expect in [
+                (GSetMap.identity(e), GSetMap(e, e, identity_routes(e))),
+                (GSetMap.diagonal(e),
+                 GSetMap(e, product(e, e), diagonal_routes(e))),
+                (GSetMap.terminal(e),
+                 GSetMap(e, one(), [(0, [])] * e.n_comps()))]:
+            assert got == expect and hash(got) == hash(expect)
+        for b in exprs:
+            got, expect = (GSetMap.swap(e, b),
+                           GSetMap(product(e, b), product(b, e),
+                                   swap_routes(e, b)))
+            assert got == expect and hash(got) == hash(expect)
+    for expr, factor in [(inj(2), 0), (product(inj(2), power(1)), 0),
+                         (product(power(1), sub(2), inj(3)), 2)]:
+        comps = list(expr.comps[0])
+        comps[factor] = ("S", comps[factor][1])
+        assert (GSetMap.symmetrization(expr, factor)
+                == spread(expr, SetExpr([tuple(comps)]),
+                          list(range(len(comps)))))
+    parts = [sub(2), power(1), sub(2)]
+    for keep in ([1, 2], [0], [2, 0], [], [1, 1]):
+        assert (GSetMap.proj_product(parts, keep)
+                == projection(product(*parts), keep))
+
+
 def test_push_transitivity():
     for ctx in CONTEXTS:
         f = GSetMap.coordinates(inj(3), [0, 1], kind="I")
@@ -110,7 +174,7 @@ def test_push_transitivity():
         f = GSetMap.symmetrization(product(inj(2), power(1)))
         phi = SchwartzFunction.indicator(ctx, f.source, 1)
         for keep in ([0], [1]):
-            g = GSetMap.projection(f.target, keep)
+            g = GSetMap.proj_product([sub(2), power(1)], keep)
             assert (pushforward(g.compose(f), phi)
                     == pushforward(g, pushforward(f, phi)))
 

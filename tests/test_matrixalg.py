@@ -6,7 +6,8 @@ from itertools import product as iproduct
 import pytest
 
 from oligocat import matrixalg
-from oligocat.category import PermObject, hom_basis, tensor
+from oligocat.category import (PermObject, hom_basis, idempotent_decompose,
+                               tensor)
 from oligocat.integration import (GSetMap, SchwartzFunction, change_level,
                                   pullback, pushforward)
 from oligocat.matrixalg import (EndAlgebra, InvariantMatrix, _nullspace,
@@ -530,15 +531,15 @@ def test_min_poly_and_jordan():
     x = Poly.var()
     assert min_poly(a, EvalPoint.rational(5)) == x * x - 5 * x
     s5, n5 = jordan_split(a, EvalPoint.rational(5))
-    assert n5.is_zero() and s5 == a.at_level(0)
+    assert n5.is_zero() and s5 == a
     s0, n0 = jordan_split(a, EvalPoint.rational(0))
-    assert s0.is_zero() and n0 == a.at_level(0)
+    assert s0.is_zero() and n0 == a
     # idempotent splits as itself
     e = a.scale(Fraction(1, 5))
     alg = EndAlgebra(sym, power(1))
     sp = alg.specialize(EvalPoint.rational(5))
     sv, nv = sp.jordan(sp.element(e))
-    assert sp.to_matrix(sv) == e.at_level(0)
+    assert sp.to_matrix(sv) == e
     assert all(c == 0 for c in nv)
 
 
@@ -598,14 +599,30 @@ def test_trace_requires_square():
         trace(a)
 
 
+def associative(sc) -> bool:
+    """(B_i B_j) B_k = B_i (B_j B_k) on a dense table:
+    sum_m c_ij^m c_mk^l = sum_m c_jk^m c_im^l for every l."""
+    dim = len(sc)
+
+    def combine(coeffs, rows):
+        out = [Poly.zero()] * dim
+        for a, row in zip(coeffs, rows):
+            if not a.is_zero():
+                out = [o + a * c for o, c in zip(out, row)]
+        return out
+
+    return all(combine(sc[i][j], [plane[k] for plane in sc])
+               == combine(sc[j][k], sc[i])
+               for i in range(dim) for j in range(dim) for k in range(dim))
+
+
 def test_end_algebra_associativity():
     for ctx, x in [(sym, power(1)), (order, power(1))]:
-        alg = EndAlgebra(ctx, x)
-        assert alg.check_associativity()
+        assert associative(EndAlgebra(ctx, x).structure_constants())
     # a perturbed structure constant breaks it
-    alg = EndAlgebra(sym, power(1))
-    alg.structure_constants()[1][1][0] += Poly.one()
-    assert not alg.check_associativity()
+    sc = EndAlgebra(sym, power(1)).structure_constants()
+    sc[1][1][0] += Poly.one()
+    assert not associative(sc)
 
 
 def test_matrix_power_and_apply():
@@ -686,10 +703,75 @@ def unit_vectors(dim):
             for i in range(dim)]
 
 
-def is_commutative_by_mul(sc):
-    es = unit_vectors(len(sc))
-    return all(mul_dense(sc, es[i], es[j]) == mul_dense(sc, es[j], es[i])
-               for i in range(len(sc)) for j in range(i + 1, len(sc)))
+def nullspace_by_batch(mat, width):
+    """The kernel basis from one Gauss-Jordan pass over the whole stacked
+    matrix of dense rows: the routine that the row-at-a-time reduction
+    replaced."""
+    rows = [list(r) for r in mat if any(r)]
+    n = len(rows)
+    piv_of_col = {}
+    r = 0
+    for c in range(width):
+        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        piv_of_col[c] = r
+        r += 1
+    out = []
+    for fc in range(width):
+        if fc in piv_of_col:
+            continue
+        v = [Fraction(0)] * width
+        v[fc] = Fraction(1)
+        for c, row in piv_of_col.items():
+            v[c] = -rows[row][fc]
+        out.append(v)
+    return out
+
+
+def test_nullspace_matches_batch_elimination():
+    """The row-at-a-time kernel equals the batch Gauss-Jordan kernel on
+    seeded dense, sparse, zero and dependent rows, with the rows given as
+    (column, value) pairs in any order."""
+    rng = random.Random(29)
+
+    def rand_row(width, density):
+        return [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                if rng.random() < density else Fraction(0)
+                for _ in range(width)]
+
+    cases = [[], [[Fraction(0)] * 4] * 3]
+    for _ in range(40):
+        width = rng.randint(1, 9)
+        mat = [rand_row(width, rng.choice((1, 0.5, 0.2)))
+               for _ in range(rng.randint(1, 12))]
+        # dependent rows: combinations of rows already there, and zero rows
+        for _ in range(rng.randint(0, 4)):
+            a, b = rng.choice(mat), rng.choice(mat)
+            f, g = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
+            mat.insert(rng.randint(0, len(mat)),
+                       [f * x + g * y for x, y in zip(a, b)])
+        mat.insert(rng.randint(0, len(mat)), [Fraction(0)] * width)
+        cases.append(mat)
+    kernels = set()
+    for mat in cases:
+        width = len(mat[0]) if mat else 3
+        expect = nullspace_by_batch(mat, width)
+        kernels.add(len(expect) == 0)
+        assert _nullspace(map(enumerate, mat), width) == expect
+        shuffled = [sorted(enumerate(r), key=lambda _: rng.random())
+                    for r in mat]
+        assert _nullspace(shuffled, width) == expect
+        ints = [[(c, int(v * 12)) for c, v in enumerate(r)] for r in mat]
+        assert _nullspace(ints, width) == expect
+    assert kernels == {True, False}
 
 
 def center_basis_by_mul(sc):
@@ -702,7 +784,7 @@ def center_basis_by_mul(sc):
                 for b in es]
         for k in range(dim):
             mat.append([cols[j][k] for j in range(dim)])
-    return _nullspace(mat, dim)
+    return nullspace_by_batch(mat, dim)
 
 
 SPECIALIZED_CASES = [(sym, power(1), 5), (sym, inj(2), 6),
@@ -714,11 +796,13 @@ SPECIALIZED_CASES = [(sym, power(1), 5), (sym, inj(2), 6),
 def test_specialized_end_matches_dense_fractions(ctx, x, t0):
     sp = EndAlgebra(ctx, x).specialize(EvalPoint.rational(t0))
     sc = dense_table(sp)
-    # the table keeps exactly the nonzero constants, over one denominator
-    assert ([[{k: Fraction(c, sp.den) for k, c in row} for row in plane]
-             for plane in sp.table]
-            == [[{k: c for k, c in enumerate(row) if c} for row in plane]
-                for plane in sc])
+    # the table keeps exactly the nonzero constants, sorted by k, over one
+    # denominator
+    assert (sp.table
+            == [[tuple((k, c * sp.den) for k, c in enumerate(row) if c)
+                 for row in plane] for plane in sc])
+    assert all(type(c) is int for plane in sp.table for row in plane
+               for _, c in row)
     if t0 == Fraction(1, 2):
         assert sp.den > 1  # non-integer structure constants occur
     rng = random.Random(f"{ctx!r} {x.to_text()} {t0}")
@@ -736,8 +820,34 @@ def test_specialized_end_matches_dense_fractions(ctx, x, t0):
         got = sp.mul(u, v)
         assert got == mul_dense(sc, u, v)
         assert all(type(c) is Fraction for c in got)
-    assert sp.is_commutative() == is_commutative_by_mul(sc)
-    assert sp.center_basis() == center_basis_by_mul(sc)
+    center = center_basis_by_mul(sc)
+    assert sp.center_basis() == center
+    if all(mul_dense(sc, es[i], es[j]) == mul_dense(sc, es[j], es[i])
+           for i in range(sp.dim) for j in range(i + 1, sp.dim)):
+        assert center == es  # commutative: the center is the whole algebra
+
+
+def test_end_at_a_point_reads_no_dense_table(monkeypatch):
+    """specialize, the trace Gram matrix and idempotent_decompose read the
+    sparse composition rows.  With the dense table refused, sym Power(3)
+    at 7 still splits into seven central idempotents whose dimensions sum
+    to mu(Power(3)) = 343 there, and the trace pairing and the
+    semisimplicity test of Power(2) still run."""
+    basis = EndAlgebra(sym, power(2)).basis
+    gram_expected = [[trace(matmul(bi, bj)) for bj in basis] for bi in basis]
+
+    def refuse(self):
+        raise AssertionError("dense structure-constant table built")
+
+    monkeypatch.setattr(EndAlgebra, "structure_constants", refuse)
+    at = EvalPoint.rational(7)
+    dims = sorted(d for _, d in
+                  idempotent_decompose(PermObject(sym, power(3)), at))
+    assert dims == [5, 14, 20, 60, 70, 84, 90]
+    assert sum(dims) == evaluate(sym.set_measure(power(3)), at) == 343
+    gram, disc, predicted, _ = trace_pairing(sym, power(2))
+    assert gram == gram_expected and not disc.is_zero()
+    assert is_semisimple_end(sym, power(2), at)
 
 
 def min_poly_by_nullspace(sp, v, unit=None):
@@ -745,7 +855,7 @@ def min_poly_by_nullspace(sp, v, unit=None):
     the kernel of all the powers so far, found afresh for each degree."""
     powers = [list(sp.ident if unit is None else unit)]
     for _ in range(sp.dim + 1):
-        kernel = _nullspace(list(zip(*powers)), len(powers))
+        kernel = nullspace_by_batch(list(zip(*powers)), len(powers))
         if kernel:
             return Poly(kernel[0]).monic()
         powers.append(sp.mul(powers[-1], v))

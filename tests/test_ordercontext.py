@@ -336,10 +336,10 @@ def _push_cases():
     """Maps with the symmetrized groups GSetMap used to infer or merge."""
     plain = [GSetMap.symmetrization(inj(3)),
              GSetMap(inj(2), product(sub(2), sub(2)), [(0, [(0, 1), (0, 1)])]),
-             GSetMap.projection(product(sub(2), power(1), sub(2)), [1, 2])]
+             GSetMap.proj_product([sub(2), power(1), sub(2)], [1, 2])]
     cases = [(f, lambda c, f=f: _symmetrized(f, c)) for f in plain]
     symm = GSetMap.symmetrization(product(inj(2), power(1)))
-    drop_sub = GSetMap.projection(symm.target, [1])
+    drop_sub = GSetMap.proj_product([sub(2), power(1)], [1])
     cases.append((drop_sub.compose(symm),
                   lambda c: _composite_symmetrized(drop_sub, symm, c)))
     s2 = GSetMap.symmetrization(inj(2))
