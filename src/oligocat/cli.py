@@ -27,10 +27,6 @@ from .symcontext import SymContext
 from .verify import SUITE_NAMES, run_suites
 
 
-class UsageError(Exception):
-    pass
-
-
 def parse_context(text: str):
     if text == "sym":
         return SymContext()
@@ -40,9 +36,9 @@ def parse_context(text: str):
         try:
             eps, delt = (int(v) for v in text[len("order:"):].split(","))
         except ValueError as exc:
-            raise UsageError(f"bad order context {text!r}") from exc
+            raise ValueError(f"bad order context {text!r}") from exc
         return OrderContext(eps, delt)
-    raise UsageError(f"unknown context {text!r}")
+    raise ValueError(f"unknown context {text!r}")
 
 
 def nonnegative_int(text: str) -> int:
@@ -53,13 +49,6 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def parse_set(text: str) -> SetExpr:
-    try:
-        return SetExpr.from_text(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def parse_at(text: str | None) -> EvalPoint:
     if text is None:
         return EvalPoint.generic()
@@ -68,11 +57,11 @@ def parse_at(text: str | None) -> EvalPoint:
             _, p, t0 = text.split(":")
             return EvalPoint.modular(int(t0), int(p))
         except ValueError as exc:
-            raise UsageError(f"bad modular point {text!r}") from exc
+            raise ValueError(f"bad modular point {text!r}") from exc
     try:
         return EvalPoint.rational(Fraction(text))
     except ValueError as exc:
-        raise UsageError(f"bad evaluation point {text!r}") from exc
+        raise ValueError(f"bad evaluation point {text!r}") from exc
 
 
 def parse_matrix(ctx, text: str) -> InvariantMatrix:
@@ -81,12 +70,12 @@ def parse_matrix(ctx, text: str) -> InvariantMatrix:
     graph:sym:<k>."""
     kind, _, rest = text.partition(":")
     if kind == "identity":
-        return InvariantMatrix.identity(ctx, parse_set(rest))
+        return InvariantMatrix.identity(ctx, SetExpr.from_text(rest))
     if kind == "allones":
-        return InvariantMatrix.all_ones(ctx, parse_set(rest))
+        return InvariantMatrix.all_ones(ctx, SetExpr.from_text(rest))
     if kind == "orbit":
         set_text, _, orb_text = rest.partition(":")
-        x = parse_set(set_text)
+        x = SetExpr.from_text(set_text)
         from .setexpr import product
         xx = product(x, x)
         pat = ctx.parse_orbit(xx, orb_text)
@@ -96,17 +85,17 @@ def parse_matrix(ctx, text: str) -> InvariantMatrix:
         sub_kind, _, rest2 = rest.partition(":")
         if sub_kind == "proj":
             set_text, _, slots_text = rest2.partition(":")
-            x = parse_set(set_text)
+            x = SetExpr.from_text(set_text)
             slots = [int(s) - 1 for s in slots_text.split(",")]
             return InvariantMatrix.from_graph(ctx, GSetMap.coordinates(x, slots))
         if sub_kind == "diag":
-            x = parse_set(rest2)
+            x = SetExpr.from_text(rest2)
             return InvariantMatrix.from_graph(ctx, GSetMap.diagonal(x))
         if sub_kind == "sym":
             k = int(rest2)
             return InvariantMatrix.from_graph(ctx, GSetMap.symmetrization(inj(k)))
-        raise UsageError(f"unknown graph map {sub_kind!r}")
-    raise UsageError(f"unknown matrix constructor {kind!r}")
+        raise ValueError(f"unknown graph map {sub_kind!r}")
+    raise ValueError(f"unknown matrix constructor {kind!r}")
 
 
 def _scalar_out(value, at: EvalPoint) -> str:
@@ -199,9 +188,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _dispatch(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -211,7 +197,7 @@ def _dispatch(args) -> int:
     out = sys.stdout
     if args.command == "measure":
         ctx = parse_context(args.ctx)
-        expr = parse_set(args.set_text)
+        expr = SetExpr.from_text(args.set_text)
         at = parse_at(args.at)
         val = ctx.set_measure(expr)
         if args.format == "json":
@@ -224,7 +210,7 @@ def _dispatch(args) -> int:
 
     if args.command == "orbits":
         ctx = parse_context(args.ctx)
-        expr = parse_set(args.set_text)
+        expr = SetExpr.from_text(args.set_text)
         at = parse_at(args.at)
         rows = [{"orbit": ctx.orbit_text(expr, pat),
                  "measure": _scalar_out(ctx.measure(expr, pat), at)}
@@ -241,8 +227,8 @@ def _dispatch(args) -> int:
 
     if args.command == "hom":
         ctx = parse_context(args.ctx)
-        x = PermObject(ctx, parse_set(args.x))
-        y = PermObject(ctx, parse_set(args.y))
+        x = PermObject(ctx, SetExpr.from_text(args.x))
+        y = PermObject(ctx, SetExpr.from_text(args.y))
         basis = hom_basis(x, y)
         if args.format == "json":
             json.dump({"x": x.expr.to_text(), "y": y.expr.to_text(),
@@ -260,7 +246,7 @@ def _dispatch(args) -> int:
     if args.command == "compose":
         ctx = parse_context(args.ctx)
         if len(args.matrix) != 2:
-            raise UsageError("compose needs exactly two --matrix arguments")
+            raise ValueError("compose needs exactly two --matrix arguments")
         b = parse_matrix(ctx, args.matrix[0])
         a = parse_matrix(ctx, args.matrix[1])
         c = matmul(b, a)
@@ -286,10 +272,10 @@ def _dispatch(args) -> int:
 
     if args.command == "decompose":
         ctx = parse_context(args.ctx)
-        x = PermObject(ctx, parse_set(args.x))
+        x = PermObject(ctx, SetExpr.from_text(args.x))
         at = parse_at(args.at)
         if at.mode != "rational":
-            raise UsageError("decompose needs a rational --at point")
+            raise ValueError("decompose needs a rational --at point")
         rows = []
         for mat, dim in idempotent_decompose(x, at):
             rows.append({"idempotent": matrix_json(mat)["terms"],
@@ -307,7 +293,7 @@ def _dispatch(args) -> int:
 
     if args.command == "frobenius":
         ctx = parse_context(args.ctx)
-        x = PermObject(ctx, parse_set(args.x))
+        x = PermObject(ctx, SetExpr.from_text(args.x))
         _, checks = frobenius(x)
         ok_all = True
         for name, ok in checks:
@@ -359,7 +345,7 @@ def _dispatch(args) -> int:
               f"{'pass' if ok else 'FAIL'}")
         return 0 if ok else 1
 
-    raise UsageError(f"unknown command {args.command!r}")
+    raise ValueError(f"unknown command {args.command!r}")
 
 
 def _load_table_candidate(kind: str, path: str):
@@ -368,7 +354,7 @@ def _load_table_candidate(kind: str, path: str):
         with open(path) as fh:
             table = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read table: {exc}") from exc
+        raise ValueError(f"cannot read table: {exc}") from exc
     return candidate_from_table(f"{kind}-table", kind, table)
 
 
@@ -385,7 +371,7 @@ def _fraisse_cmd(args) -> int:
         elif kind == "boron":
             cand = boron_nu() if args.measure == "nu" else boron_mu()
         else:
-            raise UsageError("the graph class has no built-in measure; "
+            raise ValueError("the graph class has no built-in measure; "
                              "supply a candidate with --table")
         rep = verify_measure(kind, cand, args.max_size)
         print(f"{rep.name} up to size {args.max_size}: "
@@ -403,7 +389,7 @@ def _fraisse_cmd(args) -> int:
             t3 = all_structures("boron", 3)[0]
             i = j = embeddings(t2, t3)[0]
         else:
-            raise UsageError("amalgams demo exists for orders and boron")
+            raise ValueError("amalgams demo exists for orders and boron")
         ams = enumerate_amalgamations(i, j)
         for am in ams:
             print(repr(am.structure))
@@ -435,7 +421,7 @@ def _fraisse_cmd(args) -> int:
         print("constant invariant rejected with witness: "
               f"{'pass' if ok else 'FAIL'} {rep.failures[:1]}")
         return 0 if ok else 1
-    raise UsageError(f"unknown check {args.check!r}")
+    raise ValueError(f"unknown check {args.check!r}")
 
 
 if __name__ == "__main__":

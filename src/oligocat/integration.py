@@ -140,10 +140,9 @@ class GSetMap:
         if expr.n_comps() != 1:
             raise ValueError("symmetrization wants a product expression")
         comp = list(expr.comps[0])
-        kind, n = comp[factor]
-        if kind != "I":
+        if not 0 <= factor < len(comp) or comp[factor][0] != "I":
             raise ValueError("symmetrization applies to an Inj factor")
-        comp[factor] = ("S", n)
+        comp[factor] = ("S", comp[factor][1])
         return GSetMap(expr, SetExpr([tuple(comp)]),
                        [(0, expr.factor_slots(0))])
 

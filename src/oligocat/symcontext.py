@@ -4,6 +4,11 @@ Orbits of the pointwise stabilizer of {1..N} on a declared set are described
 by patterns: a partition of the coordinate slots into blocks (equal values),
 with some blocks pinned to constants in {1..N} and the rest generic (pairwise
 distinct, avoiding {1..N}).  The level N is the group of definition.
+The constants are items of the enumeration, like the slots: a set
+partition of the slots and the N constants, no two constants in one block,
+is a pattern, with a block's constant as its pin and a block holding only a
+constant dropped.  Orbits, refinement and the composition rows all place
+constants this way, through the one enumerator `_partitions`.
 
 A Sub factor's slots are separated, so each block holds at most one slot of
 each Sub(k) factor.  Give each block its signature: its pin, its non-Sub
@@ -27,7 +32,6 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import comb, factorial, prod
 
 from .scalar import Poly, falling_factorial
@@ -152,24 +156,26 @@ class SymContext:
 
     @lru_cache(maxsize=None)
     def _orbits_cached(self, expr: SetExpr, level: int) -> tuple[SymPattern, ...]:
-        """Every labelled partition with pins, one per signature multiset."""
+        """Every partition of the slots and the constants, one per signature
+        multiset."""
         out = []
         for c in range(expr.n_comps()):
+            k = expr.slot_count(c)
             subs = expr.sub_groups(c)
             owner = _sub_owner(subs)
             seen = set()
-            for part in _partitions(expr.slot_count(c),
-                                    expr.separated_groups(c)):
-                for pins in _pin_assignments(len(part), level):
-                    blocks = [(part[i], pins.get(i)) for i in range(len(part))]
-                    if not subs:  # distinct labelled patterns are distinct orbits
-                        out.append(SymPattern(c, level, _sort_blocks(blocks)))
-                        continue
-                    sig = _signature(blocks, owner)
-                    if sig not in seen:
-                        seen.add(sig)
-                        out.append(SymPattern(c, level,
-                                              _canonical_blocks(sig, subs)))
+            constants = tuple(range(k, k + level))
+            for part in _partitions(k + level,
+                                    expr.separated_groups(c) + (constants,)):
+                blocks = [_pinned(b, k) for b in part if b[0] < k]
+                if not subs:  # distinct labelled patterns are distinct orbits
+                    out.append(SymPattern(c, level, _sort_blocks(blocks)))
+                    continue
+                sig = _signature(blocks, owner)
+                if sig not in seen:
+                    seen.add(sig)
+                    out.append(SymPattern(c, level,
+                                          _canonical_blocks(sig, subs)))
         out.sort(key=lambda p: (p.comp, _blocks_key(p.blocks)))
         return tuple(out)
 
@@ -226,12 +232,15 @@ class SymContext:
             raise ValueError("refinement level must not decrease")
         if level2 == pat.level:
             return [pat]
-        new_pins = range(pat.level + 1, level2 + 1)
+        new = level2 - pat.level
         gen_idx = [i for i, (_, pin) in enumerate(pat.blocks) if pin is None]
         out, seen = [], set()
-        for assign in _partial_injections(gen_idx, list(new_pins)):
-            blocks = [(slots, assign.get(i, pin))
-                      for i, (slots, pin) in enumerate(pat.blocks)]
+        # the new constants are the items; the generic blocks are given
+        for part in _partitions(new, (tuple(range(new)),), len(gen_idx)):
+            blocks = list(pat.blocks)
+            for i, placed in zip(gen_idx, part):
+                if placed:
+                    blocks[i] = (blocks[i][0], pat.level + 1 + placed[0])
             q = self.canonicalize(expr, SymPattern(pat.comp, level2,
                                                    _sort_blocks(blocks)))
             if q.blocks not in seen:
@@ -287,10 +296,11 @@ class SymContext:
         """One row of the fibres of Z x Y x X -> Z x X: the extensions of
         the orbit o_zy of Z x Y by the X slots.
 
-        Each X slot of a component of X goes to a block of o_zy, to an
-        X-only block opened before, to a new generic block, or to a new
-        block pinned to a constant in 1..N that no block of o_zy uses; two
-        slots of one X Inj or Sub factor never share a block.  Yields
+        The given blocks are those of o_zy, then one empty block for each
+        constant in 1..N that no block of o_zy uses.  Each X slot of a
+        component of X joins a given block, an X-only block opened before
+        or a new generic block, and takes the pin of the block it joins;
+        two slots of one X Inj or Sub factor never share a block.  Yields
         (o_yx, R, coeff): the canonical restrictions to Y x X and Z x X, and
         coeff the sum over those extensions of
         ff(N + g_R, g_Yonly) s_R / (s_zy |H_X|), with g_R the generic blocks
@@ -306,13 +316,12 @@ class SymContext:
         zc, yc = divmod(o_zy.comp, ny)
         kz, ky = z.slot_count(zc), y.slot_count(yc)
         s_zy = self.stabilizer_order(product(z, y), o_zy)
-        nb = len(o_zy.blocks)
-        pins = [pin for _, pin in o_zy.blocks]
-        free = [c for c in range(1, level + 1) if c not in pins]
-        z_part = [tuple(s for s in slots if s < kz)
-                  for slots, _ in o_zy.blocks]
-        y_part = [tuple(s - kz for s in slots if s >= kz)
-                  for slots, _ in o_zy.blocks]
+        used = {pin for _, pin in o_zy.blocks}
+        given = [(pin, tuple(s for s in slots if s < kz),
+                  tuple(s - kz for s in slots if s >= kz))
+                 for slots, pin in o_zy.blocks]
+        given += [(c, (), ()) for c in range(1, level + 1) if c not in used]
+        nb = len(given)
 
         def canon(memo, expr, comp, blocks):
             pat = memo.get((comp, blocks))
@@ -328,25 +337,20 @@ class SymContext:
             denom = s_zy * prod(factorial(len(g)) for g in x.sub_groups(xc))
             counts: dict = {}
             for part in partitions[xc, nb]:
-                new = list(range(nb, len(part)))
-                for new_pins in _partial_injections(new, free):
-                    yx, zx = [], []
-                    g_yonly = 0
-                    for i, xs in enumerate(part):
-                        if i < nb:
-                            pin, zs, ys = pins[i], z_part[i], y_part[i]
-                        else:
-                            pin, zs, ys = new_pins.get(i), (), ()
-                        if ys or xs:
-                            yx.append((ys + tuple(ky + j for j in xs), pin))
-                        if zs or xs:
-                            zx.append((zs + tuple(kz + j for j in xs), pin))
-                        elif pin is None:
-                            g_yonly += 1
-                    key = (canon(yx_canon, yx_expr, yc * nx + xc, tuple(yx)),
-                           canon(zx_canon, zx_expr, zc * nx + xc, tuple(zx)),
-                           g_yonly)
-                    counts[key] = counts.get(key, 0) + 1
+                yx, zx = [], []
+                g_yonly = 0
+                for i, xs in enumerate(part):
+                    pin, zs, ys = given[i] if i < nb else (None, (), ())
+                    if ys or xs:
+                        yx.append((ys + tuple(ky + j for j in xs), pin))
+                    if zs or xs:
+                        zx.append((zs + tuple(kz + j for j in xs), pin))
+                    elif pin is None:
+                        g_yonly += 1
+                key = (canon(yx_canon, yx_expr, yc * nx + xc, tuple(yx)),
+                       canon(zx_canon, zx_expr, zc * nx + xc, tuple(zx)),
+                       g_yonly)
+                counts[key] = counts.get(key, 0) + 1
             for (o_yx, r, g_yonly), n in counts.items():
                 wkey = (r, g_yonly, denom)
                 weight = weights.get(wkey)
@@ -455,9 +459,9 @@ def _stabilizer_order(sig) -> int:
 
 
 def _partitions(k: int, separated, fixed: int = 0):
-    """All set partitions of slots 0..k-1 with each separated group's slots
-    in pairwise distinct blocks, as tuples of sorted slot tuples.  The first
-    `fixed` blocks are given and may stay empty: a slot joins one of them,
+    """All set partitions of items 0..k-1 with each separated group's items
+    in pairwise distinct blocks, as tuples of sorted item tuples.  The first
+    `fixed` blocks are given and may stay empty: an item joins one of them,
     a block opened before or a new block."""
     sep_of = [set() for _ in range(k)]
     for g in separated:
@@ -482,16 +486,9 @@ def _partitions(k: int, separated, fixed: int = 0):
     return out
 
 
-def _pin_assignments(n_blocks: int, level: int):
-    """All injective partial maps {0..n_blocks-1} -> {1..level}."""
-    return _partial_injections(list(range(n_blocks)), list(range(1, level + 1)))
-
-
-def _partial_injections(keys: list[int], values: list[int]):
-    from itertools import combinations
-    out = [{}]
-    for r in range(1, min(len(keys), len(values)) + 1):
-        for which in combinations(keys, r):
-            for perm in permutations(values, r):
-                out.append(dict(zip(which, perm)))
-    return out
+def _pinned(block, k: int):
+    """A block of slots 0..k-1 and at most one constant item k + i - 1 as
+    (slots, pin i), or (slots, None) without a constant."""
+    if block[-1] < k:
+        return block, None
+    return block[:-1], block[-1] - k + 1

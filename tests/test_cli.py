@@ -185,6 +185,8 @@ SETS_TABLE = ["fraisse", "--class", "sets", "--check", "measure",
     ["fraisse", "--class", "graphs", "--check", "rado", "--max-size", "2",
      "--table", {"graph:0:": 1, "graph:1:": "t", "graph:2:": 1,
                  "graph:2:0-1": 1}],
+    ["trace", "--ctx", "sym", "--matrix", "graph:sym:0"],
+    ["trace", "--ctx", "order", "--matrix", "graph:sym:0"],
 ], ids=["glq-context", "missing-table", "negative-level",
         "negative-max-size", "negative-bound", "threads", "verify-ctx",
         "sym-orbit-component", "sym-orbit-slot", "sym-orbit-missing-slot",
@@ -192,7 +194,7 @@ SETS_TABLE = ["fraisse", "--class", "sets", "--check", "measure",
         "order-orbit-repeated-slot", "order-orbit-constant-0",
         "boron-measure", "table-list-value", "table-null-value",
         "table-array", "table-missing-key", "table-float", "table-bool",
-        "rado-polynomial"])
+        "rado-polynomial", "sym-graph-sym-0", "order-graph-sym-0"])
 def test_refused_input_exits_2(argv, tmp_path):
     """Refused input exits 2 with no traceback; a non-string argument is a
     JSON table, passed as the path of a file holding it."""
@@ -343,5 +345,103 @@ def test_fraisse_tables_never_raise(tmp_path):
                                  check, "--max-size", "2", "--table",
                                  str(path)])
             assert code in (0, 1, 2)
+
+    run()
+
+
+def _command_cases(st):
+    """Hypothesis strategy of whole argv lists for the set, matrix and
+    algebra commands: small sets (at most two slots per component, unions,
+    1 and 0) or junk, every context and malformed ones, levels from -1 to 2,
+    --at points with the p: forms, 1/0 and junk, and named matrices."""
+    factor = st.sampled_from(["Omega", "Power(1)", "Inj(1)", "Sub(1)",
+                              "Power(2)", "Inj(2)", "Sub(2)", "Power(0)"])
+
+    def fits(factors):
+        return sum(int(f[-2]) if f[-1] == ")" else 1 for f in factors) <= 2
+
+    comp = st.one_of(st.just("1"), st.lists(factor, min_size=1, max_size=2)
+                     .filter(fits).map("*".join))
+    good_set = st.one_of(st.just("0"),
+                         st.lists(comp, min_size=1, max_size=2).map("+".join))
+    set_text = st.one_of(good_set, good_set, st.sampled_from(
+        ["", "Power(", "Sub(-1)", "Inj(2)*", "Foo", "1+", "R"]))
+    good_ctx = st.sampled_from(["sym", "order", "order:-1,-1", "order:0,-1",
+                                "order:-1,0", "order:0,0"])
+    ctx = st.one_of(good_ctx, good_ctx, st.sampled_from(
+        ["order:1,1", "order:x", "order:0", "glq:2", "sym:1", ""]))
+    level = st.integers(-1, 2).map(str)
+    good_at = st.sampled_from(["0", "1", "2", "5", "-3", "1/2", "p:5:2"])
+    at = st.one_of(good_at, good_at, st.sampled_from(
+        ["1/0", "p:4:1", "p:0:1", "p:5", "p:x:1", "t", "", "junk"]))
+    sym_block = st.builds(
+        lambda slots, pin: "{%s%s}" % (",".join(slots),
+                                        "" if pin is None else f"|pin={pin}"),
+        st.lists(st.integers(0, 5).map(str), max_size=3),
+        st.one_of(st.none(), st.integers(0, 3).map(str)))
+    orbit_text = st.one_of(
+        st.sampled_from(["[{1},{2}]@N=0", "[{1,2}]@N=0", "[{1|pin=1},{2}]@N=1",
+                         "[{1,3},{2,4}]@N=0", "r1<b1@r=0", "r1=b1@r=0",
+                         "#1<r1<b1@r=1", "r1<r2<b1<b2@r=0"]),
+        st.builds(lambda blocks, lvl: "[%s]@N=%d" % (",".join(blocks), lvl),
+                  st.lists(sym_block, max_size=4), st.integers(0, 2)),
+        st.builds(lambda toks, lvl: "<".join(toks) + f"@r={lvl}",
+                  st.lists(st.sampled_from(["r1", "r2", "b1", "b2", "r1=b1",
+                                            "#1", "z1"]), max_size=4),
+                  st.integers(0, 2)),
+        st.text(alphabet="[]{},|=<@#:Nrb0123", max_size=12))
+    slots = st.lists(st.integers(-1, 3).map(str), max_size=3).map(",".join)
+    matrix = st.one_of(
+        st.builds("identity:{}".format, set_text),
+        st.builds("allones:{}".format, set_text),
+        st.builds("orbit:{}:{}".format, set_text, orbit_text),
+        st.builds("graph:proj:{}:{}".format, set_text, slots),
+        st.builds("graph:diag:{}".format, set_text),
+        st.builds("graph:sym:{}".format,
+                  st.sampled_from(["0", "1", "2", "3", "-1", "x", ""])),
+        st.sampled_from(["graph:cyc:1", "junk", ""]))
+    maybe_at = st.one_of(st.none(), at)
+
+    def command(name, *options):
+        """argv of one command from (flag, strategy) pairs; a drawn None
+        leaves its flag out."""
+        return st.tuples(*(value for _, value in options)).map(
+            lambda values: [name] + [
+                a for (flag, _), v in zip(options, values) if v is not None
+                for a in (flag, v)])
+
+    return st.one_of(
+        command("measure", ("--ctx", ctx), ("--set", set_text),
+                ("--at", maybe_at)),
+        command("orbits", ("--ctx", ctx), ("--set", set_text),
+                ("--level", level), ("--at", maybe_at)),
+        command("hom", ("--ctx", ctx), ("--x", set_text), ("--y", set_text)),
+        st.builds(lambda c, ms: ["compose", "--ctx", c]
+                  + [a for m in ms for a in ("--matrix", m)],
+                  ctx, st.lists(matrix, min_size=1, max_size=3)),
+        command("trace", ("--ctx", ctx), ("--matrix", matrix),
+                ("--at", maybe_at)),
+        command("charseries", ("--ctx", ctx), ("--matrix", matrix),
+                ("--order", st.integers(-1, 4).map(str))),
+        command("decompose", ("--ctx", ctx), ("--x", set_text), ("--at", at)),
+        command("frobenius", ("--ctx", ctx), ("--x", set_text)))
+
+
+def test_commands_never_raise():
+    """Generated whole commands, valid or not, give exit 0, 1 or 2 and no
+    exception; argparse refuses an option value by exiting 2."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+    @hypothesis.example(["trace", "--ctx", "sym", "--matrix", "graph:sym:0"])
+    @hypothesis.given(_command_cases(hypothesis.strategies))
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
 
     run()

@@ -549,6 +549,75 @@ def test_is_semisimple():
     assert is_semisimple_end(order, power(1), EvalPoint.rational(7))
 
 
+def nilpotent_trace_probe(ctx, x, at):
+    """The semisimplicity test that the radical replaced: the trace pairing
+    is nondegenerate at the point and the nilpotent parts of three seeded
+    elements have trace zero."""
+    alg = EndAlgebra(ctx, x)
+    if _singular_at(_trace_gram(alg), at):
+        return False
+    rng = random.Random(0)
+    sp = alg.specialize(at)
+    traces = [evaluate(trace(b), at) for b in alg.basis]
+    for _ in range(3):
+        v = [Fraction(rng.randint(-3, 3)) for _ in range(alg.dim)]
+        _, nil = sp.jordan(v)
+        if sum(c * t for c, t in zip(nil, traces)) != 0:
+            return False
+    return True
+
+
+def test_is_semisimple_matches_nilpotent_trace_probe(monkeypatch):
+    """The radical test agrees with the seeded probe on small cases, both
+    answers occur, and it makes no Jordan splitting."""
+    cases = [(sym, x, t) for x in (power(1), sub(2), power(2))
+             for t in (0, 1, 2, 3, 5, 7)]
+    cases += [(OrderContext(*spec), x, 7) for spec in LEGAL_SPECS
+              for x in (power(1), sub(2))]
+    expected = [nilpotent_trace_probe(ctx, x, EvalPoint.rational(t))
+                for ctx, x, t in cases]
+    assert set(expected) == {True, False}
+
+    def refuse(self, v):
+        raise AssertionError("Jordan splitting computed")
+
+    monkeypatch.setattr(matrixalg.SpecializedEnd, "jordan", refuse)
+    assert [is_semisimple_end(ctx, x, EvalPoint.rational(t))
+            for ctx, x, t in cases] == expected
+
+
+@pytest.mark.parametrize("ctx,x,points,dims", [
+    (sym, power(2), (0, 1, 2, 3), [9, 3, 5, 0]),
+    (sym, power(3), (4, 5), [11, 0]),
+    (OrderContext(-1, -1), power(1), (7,), [0]),
+    (OrderContext(-1, -1), sub(2), (7,), [0]),
+    (OrderContext(-1, -1), power(2), (7,), [0]),
+    (OrderContext(0, 0), sub(2), (7,), [7]),
+    (OrderContext(0, 0), power(2), (7,), [40]),
+], ids=lambda v: getattr(v, "to_text", lambda: repr(v))())
+def test_radical_dimensions(ctx, x, points, dims):
+    """The radical of sym Power(n) at m is nonzero exactly for m <= 2n - 2
+    (Martin's theorem for the partition algebra); the Delannoy measure
+    (-1, -1) gives semisimple algebras.  Each radical vector r is an ideal
+    element: r b and b r lie in the radical's span and are nilpotent."""
+    alg = EndAlgebra(ctx, x)
+    for m, dim in zip(points, dims):
+        sp = alg.specialize(EvalPoint.rational(m))
+        rad = sp.radical()
+        assert len(rad) == dim
+        for r in rad[:3]:
+            for b in unit_vectors(sp.dim)[:5]:
+                for rb in (sp.mul(r, b), sp.mul(b, r)):
+                    assert (len(_nullspace(map(enumerate, rad + [rb]), sp.dim))
+                            == sp.dim - dim)
+                    power = rb
+                    for _ in range(sp.dim):
+                        power = sp.mul(power, rb)
+                        if not any(power):
+                            break
+                    assert not any(power)
+
+
 def test_singular_at_matches_determinant():
     """The kernel test over Q agrees with evaluating the Bareiss
     determinant over Q[t]; both outcomes occur."""
@@ -556,7 +625,7 @@ def test_singular_at_matches_determinant():
              (order, power(1), [0, 1, 7])]
     outcomes = set()
     for ctx, x, points in cases:
-        gram, _ = _trace_gram(EndAlgebra(ctx, x))
+        gram = _trace_gram(EndAlgebra(ctx, x))
         det = _poly_det(gram)
         for n in points:
             at = EvalPoint.rational(n)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 from itertools import product as iproduct
 from math import comb
 
@@ -8,7 +9,7 @@ from oligocat.ordercontext import OrderContext
 from oligocat.scalar import Poly, binomial_poly, falling_factorial
 from oligocat.setexpr import inj, one, perm_group, power, product, sub, union
 from oligocat.symcontext import (SymContext, SymPattern, _blocks_key,
-                                 _partitions, _pin_assignments, _sort_blocks)
+                                 _partitions, _sort_blocks)
 
 ctx = SymContext()
 t = Poly.var()
@@ -167,6 +168,17 @@ SUB_HEAVY = [product(sub(2), sub(2), sub(2)),
              union(product(inj(2), sub(2)), sub(3))]
 
 
+def _pin_assignments(n_blocks, level):
+    """All injective partial maps {0..n_blocks-1} -> {1..level}: the pin
+    enumeration that placed the constants after the slots."""
+    out = [{}]
+    for r in range(1, min(n_blocks, level) + 1):
+        for which in combinations(range(n_blocks), r):
+            for perm in permutations(range(1, level + 1), r):
+                out.append(dict(zip(which, perm)))
+    return out
+
+
 def _slot_group(expr, c):
     return perm_group(expr.sub_groups(c), expr.slot_count(c))
 
@@ -212,6 +224,43 @@ def test_signature_form_matches_slot_group_search(expr, level):
     orbits = ctx.orbits(expr, level)
     assert len(orbits) == len(set(orbits))
     assert set(orbits) == found
+
+
+@pytest.mark.parametrize(
+    "expr", SUB_HEAVY + [union(power(1), sub(3)),
+                         union(one(), product(inj(2), power(1))),
+                         union(sub(2), sub(2), power(2))],
+    ids=lambda e: e.to_text())
+def test_orbits_match_the_pin_assignment_loop(expr):
+    """orbits, which places the constants as items of the partition, lists
+    the canonical forms of the partitions with every pinning of their
+    blocks, in the same order."""
+    for level in range(4):
+        old = sorted({ctx.canonicalize(expr, pat)
+                      for pat in _labelled_patterns(expr, level)},
+                     key=lambda p: (p.comp, _blocks_key(p.blocks)))
+        assert list(ctx.orbits(expr, level)) == old
+
+
+@pytest.mark.parametrize("expr", [power(2), sub(2), product(sub(2), inj(2)),
+                                  product(sub(2), sub(2), power(1)),
+                                  union(power(1), sub(3))],
+                         ids=lambda e: e.to_text())
+def test_refine_lists_the_orbits_over_the_pattern(expr):
+    """refine(pat, level2) lists, each once, the orbits at level2 that
+    coarsen to pat: pins above its level made generic, then canonicalized."""
+    for level in range(3):
+        for level2 in range(level, 4):
+            over = {}
+            for q in ctx.orbits(expr, level2):
+                coarse = ctx.canonicalize(expr, SymPattern(q.comp, level, tuple(
+                    (slots, pin if pin is not None and pin <= level else None)
+                    for slots, pin in q.blocks)))
+                over.setdefault(coarse, set()).add(q)
+            for pat in ctx.orbits(expr, level):
+                refined = ctx.refine(expr, pat, level2)
+                assert len(refined) == len(set(refined))
+                assert set(refined) == over[pat]
 
 
 def test_sym_backend_builds_no_slot_group(monkeypatch):
