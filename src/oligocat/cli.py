@@ -2,13 +2,14 @@
 characteristic series, decompositions and the verification suites.
 
 Exit codes: 0 success / all checks pass, 1 verification failure (witness in
-the output), 2 usage or input error.
+the output) or stdout closed early, 2 usage or input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -187,7 +188,14 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; send the interpreter's last flush
+        # to devnull so that it raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -889,20 +889,18 @@ class Report:
         return f"Report({self.name}: {status}, counts={self.counts})"
 
 
-def verify_measure(kind: str, candidate: CandidateMeasure, max_size: int,
-                   first_failure_only: bool = True) -> Report:
+def verify_measure(kind: str, candidate: CandidateMeasure, max_size: int
+                   ) -> Report:
     """Exhaustively check iso-invariance, normalization, multiplicativity
     and the amalgamation identity on all spans whose largest amalgamation
-    fits within max_size points."""
+    fits within max_size points; a failed report names the first failure."""
     structures = []
     for n in range(max_size + 1):
         structures.extend(all_structures(kind, n))
-    failures = []
     counts = {"structures": len(structures)}
 
-    def fail(witness):
-        failures.append(witness)
-        return first_failure_only
+    def failed(witness):
+        return Report(candidate.name, False, [witness], counts)
 
     # normalization and iso-invariance; the identities on embedding values
     # are checked multiplied through by their denominators, which in
@@ -910,13 +908,11 @@ def verify_measure(kind: str, candidate: CandidateMeasure, max_size: int,
     for s in structures:
         num, den = candidate.ratio(EmbeddingMap.identity(s))
         if num != den:
-            if fail(("normalization", repr(s))):
-                return Report(candidate.name, False, failures, counts)
+            return failed(("normalization", repr(s)))
         for perm in list(permutations(range(s.size)))[:6]:
             sp = s.relabel(perm)
             if not sp.is_isomorphic(s):
-                if fail(("relabel broke isomorphism", repr(s), perm)):
-                    return Report(candidate.name, False, failures, counts)
+                return failed(("relabel broke isomorphism", repr(s), perm))
 
     # multiplicativity over composable pairs
     n_mult = 0
@@ -934,10 +930,9 @@ def verify_measure(kind: str, candidate: CandidateMeasure, max_size: int,
                         num_j, den_j = candidate.ratio(jm)
                         n_mult += 1
                         if num * den_i * den_j != num_i * num_j * den:
-                            if fail(("multiplicativity", repr(z), repr(y),
-                                     repr(x), im.mapping, jm.mapping)):
-                                return Report(candidate.name, False, failures,
-                                              counts)
+                            return failed(("multiplicativity", repr(z),
+                                           repr(y), repr(x), im.mapping,
+                                           jm.mapping))
     counts["multiplicativity"] = n_mult
 
     # amalgamation identity over deduplicated spans
@@ -952,9 +947,8 @@ def verify_measure(kind: str, candidate: CandidateMeasure, max_size: int,
                                                         den * d)
         n_amalg += 1
         if num_i * den != num * den_i:
-            if fail(("amalgamation", repr(i.dst), repr(y), repr(j.dst),
-                     i.mapping, j.mapping, len(amalgams))):
-                return Report(candidate.name, False, failures, counts)
+            return failed(("amalgamation", repr(i.dst), repr(y),
+                           repr(j.dst), i.mapping, j.mapping, len(amalgams)))
         if candidate.structure_rule is not None:
             # R-measure form of the same identity
             vx = candidate.of_structure(i.dst)
@@ -964,11 +958,11 @@ def verify_measure(kind: str, candidate: CandidateMeasure, max_size: int,
             for am in amalgams:
                 total = total + candidate.of_structure(am.structure)
             if vx * vyp != vy * total:
-                if fail(("r-amalgamation", repr(i.dst), repr(y), repr(j.dst))):
-                    return Report(candidate.name, False, failures, counts)
+                return failed(("r-amalgamation", repr(i.dst), repr(y),
+                               repr(j.dst)))
     counts["amalgamation-instances"] = n_amalg
 
-    return Report(candidate.name, not failures, failures, counts)
+    return Report(candidate.name, True, [], counts)
 
 
 _aut_cache: dict = {}

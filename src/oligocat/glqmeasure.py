@@ -57,18 +57,7 @@ class QContext:
         [n]_q counts d-dimensional subspaces of an (n-m)-dimensional space."""
         if m < 0 or d < 0:
             raise ValueError("omega needs m, d >= 0")
-        return self._omega_cached(m, d)
-
-    @lru_cache(maxsize=None)
-    def _omega_cached(self, m: int, d: int) -> Poly:
-        x = Poly.var()
-        out = Poly.one()
-        for i in range(d):
-            out = out * (x - self.q_int(i))
-        out = out / (self.q ** (d * (d - 1) // 2) * self.q_factorial(d))
-        for _ in range(m):
-            out = out.compose((x - 1) / self.q)  # inverse shift [n] -> [n-1]
-        return out
+        return _omega(self.q, m, d)
 
     def check_q_pascal(self, bound: int, perturb=None):
         """omega_{m,d} = q^d omega_{m+1,d} + omega_{m+1,d-1} as exact
@@ -127,6 +116,20 @@ class QContext:
                     "values": {str(n): _frac_str(w(self.q_int(n))) for n in ns},
                 })
         return {"q": self.q, "rows": rows}
+
+
+@lru_cache(maxsize=None)
+def _omega(q: int, m: int, d: int) -> Poly:
+    """The polynomial omega_{m,d} of QContext(q).omega."""
+    ctx = QContext(q)
+    x = Poly.var()
+    out = Poly.one()
+    for i in range(d):
+        out = out * (x - ctx.q_int(i))
+    out = out / (q ** (d * (d - 1) // 2) * ctx.q_factorial(d))
+    for _ in range(m):
+        out = out.compose((x - 1) / q)  # inverse shift [n] -> [n-1]
+    return out
 
 
 class GlqReport:

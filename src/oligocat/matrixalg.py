@@ -9,6 +9,7 @@ their orbit coefficients, so every identity here is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .scalar import (EvalPoint, Poly, TruncatedSeries, evaluate)
@@ -103,30 +104,22 @@ class InvariantMatrix:
         return self.entries.is_zero()
 
 
-# Composition rows per (ctx, Z, Y, X, level), filled on first use.
 # Composition integrates over the middle variable, so each coefficient of b
 # after a is a fibre measure over one orbit R of Z x X.  The row of an orbit
 # o_zy of Z x Y comes from ctx.composition_row, which extends o_zy by the X
 # slots; it groups the terms as row[o_yx] = ((R, c), ...), with c the summed
 # measure of the extensions whose restriction to Y x X is o_yx, and zero
 # sums dropped.  matmul reads the rows of b's support only.
-_compose_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _composition_row(ctx, z: SetExpr, y: SetExpr, x: SetExpr, level: int,
                      o_zy):
-    rows = _compose_cache.setdefault((ctx, z, y, x, level), {})
-    row = rows.get(o_zy)
-    if row is None:
-        sums: dict = {}
-        for o_yx, image, coeff in ctx.composition_row(z, y, x, level, o_zy):
-            group = sums.setdefault(o_yx, {})
-            group[image] = group[image] + coeff if image in group else coeff
-        row = rows[o_zy] = {
-            o_yx: tuple((image, c) for image, c in group.items()
+    sums: dict = {}
+    for o_yx, image, coeff in ctx.composition_row(z, y, x, level, o_zy):
+        group = sums.setdefault(o_yx, {})
+        group[image] = group[image] + coeff if image in group else coeff
+    return {o_yx: tuple((image, c) for image, c in group.items()
                         if not c.is_zero())
             for o_yx, group in sums.items()}
-    return row
 
 
 def matmul(b: InvariantMatrix, a: InvariantMatrix) -> InvariantMatrix:
@@ -559,18 +552,16 @@ def _poly_det(m) -> Poly:
     return -det if sign < 0 else det
 
 
-def _singular_at(gram, at: EvalPoint) -> bool:
-    """Whether det(gram) vanishes at the point: the Gram entries are
-    evaluated first and the kernel is found over Q."""
-    values = [[evaluate(c, at) for c in row] for row in gram]
-    return bool(_nullspace(map(enumerate, values), len(values)))
-
-
 def is_semisimple_end(ctx, x: SetExpr, at: EvalPoint) -> bool:
     """Whether the trace pairing of End(X) is nondegenerate at the point and
-    End(X) there is a semisimple algebra (its radical is zero)."""
+    End(X) there is a semisimple algebra (its radical is zero).  On the
+    orbit basis tr(B_i B_j) is mu(O_i) when O_j is the transpose of O_i and
+    0 otherwise (Fubini), so the pairing is nondegenerate exactly when no
+    orbit of X x X has measure 0 at the point."""
     if at.mode != "rational":
         raise ValueError("semisimplicity test needs a rational evaluation point")
     alg = EndAlgebra(ctx, x)
-    gram = _trace_gram(alg)
-    return not _singular_at(gram, at) and not alg.specialize(at).radical()
+    xx = product(x, x)
+    if any(evaluate(ctx.measure(xx, pat), at) == 0 for pat in alg.orbit_list):
+        return False
+    return not alg.specialize(at).radical()

@@ -209,15 +209,6 @@ class OrderContext:
         and coeff the sum over those extensions of the fibre measure
         _gap_product(spec, gaps), the gaps counting the classes of Y items
         only between the pinned classes (a constant or a Z or X item)."""
-        patterns, gap_values, coeffs = self._row_memo(z, y, x, level)
-
-        def intern(comp, classes):
-            pat = patterns.get((comp, classes))
-            if pat is None:
-                pat = patterns[comp, classes] = OrderPattern(comp, level,
-                                                             classes)
-            return pat
-
         nx, ny = x.n_comps(), y.n_comps()
         zc, yc = divmod(o_zy.comp, ny)
         kz, ky = z.slot_count(zc), y.slot_count(yc)
@@ -251,25 +242,13 @@ class OrderContext:
                         yx.append(cyx)
                     if czx:
                         zx.append(czx)
-                gaps = tuple(gaps)
-                value = gap_values.get(gaps)
-                if value is None:
-                    value = gap_values[gaps] = _gap_product(self.spec, gaps)
                 key = (tuple(yx), tuple(zx))
+                value = _row_gap_product(self.spec, tuple(gaps))
                 sums[key] = sums.get(key, 0) + value
             for (yx, zx), value in sums.items():
                 if value:
-                    coeff = coeffs.get(value)
-                    if coeff is None:
-                        coeff = coeffs[value] = Poly.const(value)
-                    yield (intern(yc * nx + xc, yx), intern(zc * nx + xc, zx),
-                           coeff)
-
-    @lru_cache(maxsize=None)
-    def _row_memo(self, z: SetExpr, y: SetExpr, x: SetExpr, level: int):
-        """What the rows of one triple share: the patterns of Y x X and
-        Z x X by (component, classes), gap products and coefficients."""
-        return {}, {}, {}
+                    yield (_pattern(yc * nx + xc, level, yx),
+                           _pattern(zc * nx + xc, level, zx), _const(value))
 
     # -- misc -------------------------------------------------------------
 
@@ -303,6 +282,24 @@ def _gap_product(spec: OrderMeasureSpec, gaps: list[int]) -> int:
     for k in gaps[1:-1]:
         total *= (-1) ** k
     return total
+
+
+@lru_cache(maxsize=None)
+def _row_gap_product(spec: OrderMeasureSpec, gaps: tuple[int, ...]) -> int:
+    """_gap_product on the gaps of a composition row, as a tuple."""
+    return _gap_product(spec, gaps)
+
+
+@lru_cache(maxsize=None)
+def _pattern(comp: int, level: int, classes: Classes) -> OrderPattern:
+    """The one pattern object of the composition rows for these classes."""
+    return OrderPattern(comp, level, classes)
+
+
+@lru_cache(maxsize=None)
+def _const(value: int) -> Poly:
+    """The constant coefficient of a composition row."""
+    return Poly.const(value)
 
 
 def _full_line_value(e: int, d: int, k: int) -> int:

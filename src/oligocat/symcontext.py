@@ -152,32 +152,7 @@ class SymContext:
     # -- enumeration ----------------------------------------------------
 
     def orbits(self, expr: SetExpr, level: int) -> tuple[SymPattern, ...]:
-        return self._orbits_cached(expr, level)
-
-    @lru_cache(maxsize=None)
-    def _orbits_cached(self, expr: SetExpr, level: int) -> tuple[SymPattern, ...]:
-        """Every partition of the slots and the constants, one per signature
-        multiset."""
-        out = []
-        for c in range(expr.n_comps()):
-            k = expr.slot_count(c)
-            subs = expr.sub_groups(c)
-            owner = _sub_owner(subs)
-            seen = set()
-            constants = tuple(range(k, k + level))
-            for part in _partitions(k + level,
-                                    expr.separated_groups(c) + (constants,)):
-                blocks = [_pinned(b, k) for b in part if b[0] < k]
-                if not subs:  # distinct labelled patterns are distinct orbits
-                    out.append(SymPattern(c, level, _sort_blocks(blocks)))
-                    continue
-                sig = _signature(blocks, owner)
-                if sig not in seen:
-                    seen.add(sig)
-                    out.append(SymPattern(c, level,
-                                          _canonical_blocks(sig, subs)))
-        out.sort(key=lambda p: (p.comp, _blocks_key(p.blocks)))
-        return tuple(out)
+        return _sym_orbits(expr, level)
 
     # -- measure ----------------------------------------------------------
 
@@ -309,8 +284,6 @@ class SymContext:
         labelled, so an orbit P of Z x Y x X over o_zy comes out
         |H_X| s_zy / s_P times: the weights sum to push_orbit's
         ff(N + g_R, g_Yonly) s_R / s_P."""
-        partitions, yx_canon, zx_canon, weights = self._row_memo(z, y, x,
-                                                                 level)
         nx, ny = x.n_comps(), y.n_comps()
         yx_expr, zx_expr = product(y, x), product(z, x)
         zc, yc = divmod(o_zy.comp, ny)
@@ -322,21 +295,11 @@ class SymContext:
                  for slots, pin in o_zy.blocks]
         given += [(c, (), ()) for c in range(1, level + 1) if c not in used]
         nb = len(given)
-
-        def canon(memo, expr, comp, blocks):
-            pat = memo.get((comp, blocks))
-            if pat is None:
-                pat = memo[comp, blocks] = self.canonicalize(
-                    expr, SymPattern(comp, level, blocks))
-            return pat
-
         for xc in range(nx):
-            if (xc, nb) not in partitions:
-                partitions[xc, nb] = _partitions(
-                    x.slot_count(xc), x.separated_groups(xc), nb)
             denom = s_zy * prod(factorial(len(g)) for g in x.sub_groups(xc))
             counts: dict = {}
-            for part in partitions[xc, nb]:
+            for part in _row_partitions(x.slot_count(xc),
+                                        x.separated_groups(xc), nb):
                 yx, zx = [], []
                 g_yonly = 0
                 for i, xs in enumerate(part):
@@ -347,25 +310,12 @@ class SymContext:
                         zx.append((zs + tuple(kz + j for j in xs), pin))
                     elif pin is None:
                         g_yonly += 1
-                key = (canon(yx_canon, yx_expr, yc * nx + xc, tuple(yx)),
-                       canon(zx_canon, zx_expr, zc * nx + xc, tuple(zx)),
+                key = (_canonical(yx_expr, yc * nx + xc, level, tuple(yx)),
+                       _canonical(zx_expr, zc * nx + xc, level, tuple(zx)),
                        g_yonly)
                 counts[key] = counts.get(key, 0) + 1
             for (o_yx, r, g_yonly), n in counts.items():
-                wkey = (r, g_yonly, denom)
-                weight = weights.get(wkey)
-                if weight is None:
-                    weight = weights[wkey] = (
-                        falling_factorial(level + r.generic_count(), g_yonly)
-                        * self.stabilizer_order(zx_expr, r) / denom)
-                yield o_yx, r, weight * n
-
-    @lru_cache(maxsize=None)
-    def _row_memo(self, z: SetExpr, y: SetExpr, x: SetExpr, level: int):
-        """What the rows of one triple share: the X slot partitions by
-        (component of X, blocks given), canonical patterns of Y x X and
-        Z x X by (component, raw blocks), and the weights."""
-        return {}, {}, {}, {}
+                yield o_yx, r, _row_weight(zx_expr, r, g_yonly, denom) * n
 
     # -- misc -------------------------------------------------------------
 
@@ -399,6 +349,53 @@ class SymContext:
                   for slots, pin in pat.blocks]
         return self.canonicalize(expr, SymPattern(pat.comp, pat.level,
                                                   _sort_blocks(blocks)))
+
+
+@lru_cache(maxsize=None)
+def _sym_orbits(expr: SetExpr, level: int) -> tuple[SymPattern, ...]:
+    """Every partition of the slots and the constants, one per signature
+    multiset."""
+    out = []
+    for c in range(expr.n_comps()):
+        k = expr.slot_count(c)
+        subs = expr.sub_groups(c)
+        owner = _sub_owner(subs)
+        seen = set()
+        constants = tuple(range(k, k + level))
+        for part in _partitions(k + level,
+                                expr.separated_groups(c) + (constants,)):
+            blocks = [_pinned(b, k) for b in part if b[0] < k]
+            if not subs:  # distinct labelled patterns are distinct orbits
+                out.append(SymPattern(c, level, _sort_blocks(blocks)))
+                continue
+            sig = _signature(blocks, owner)
+            if sig not in seen:
+                seen.add(sig)
+                out.append(SymPattern(c, level, _canonical_blocks(sig, subs)))
+    out.sort(key=lambda p: (p.comp, _blocks_key(p.blocks)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _row_partitions(k: int, separated, given: int):
+    """The partitions of the X slots of a composition row with `given`
+    blocks given.  Orbit enumeration calls _partitions uncached, so that its
+    lists of labelled patterns do not stay in memory."""
+    return _partitions(k, separated, given)
+
+
+@lru_cache(maxsize=None)
+def _canonical(expr: SetExpr, comp: int, level: int, blocks) -> SymPattern:
+    """The canonical pattern of raw blocks, one object per orbit."""
+    return SymContext().canonicalize(expr, SymPattern(comp, level, blocks))
+
+
+@lru_cache(maxsize=None)
+def _row_weight(zx: SetExpr, r: SymPattern, g_yonly: int, denom: int) -> Poly:
+    """ff(N + g_R, g_Yonly) s_R / denom, the weight of one extension in a
+    composition row with restriction R to Z x X."""
+    return (falling_factorial(r.level + r.generic_count(), g_yonly)
+            * SymContext().stabilizer_order(zx, r) / denom)
 
 
 @lru_cache(maxsize=None)

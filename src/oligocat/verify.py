@@ -133,14 +133,14 @@ def suite_integration_laws(seed: int = 0) -> list[Check]:
     return rows
 
 
-def suite_matrix_laws(seed: int = 0, instances: int = 100) -> list[Check]:
+def suite_matrix_laws(seed: int = 0) -> list[Check]:
     rows = []
     rng = random.Random(seed)
     for tag, ctx, x, y in _contexts():
         basis = hom_basis(PermObject(ctx, x), PermObject(ctx, x))
         alg_ok = True
         trsym_ok = True
-        for _ in range(instances):
+        for _ in range(100):
             a = _random_matrix(ctx, x, basis, rng)
             b = _random_matrix(ctx, x, basis, rng)
             c = _random_matrix(ctx, x, basis, rng)
@@ -291,9 +291,9 @@ def _oracle_witness(mats, sc, at: EvalPoint) -> str:
     return ""
 
 
-def suite_sym_oracle(seed: int = 0, cases=((1, 4), (2, 6), (2, 8))) -> list[Check]:
+def suite_sym_oracle(seed: int = 0) -> list[Check]:
     rows = []
-    for n, big_n in cases:
+    for n, big_n in ((1, 4), (2, 6), (2, 8)):
         alg, mats = sym_end_oracle(n, big_n)
         witness = _oracle_witness(mats, alg.structure_constants(),
                                   EvalPoint.rational(big_n))

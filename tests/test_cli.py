@@ -106,6 +106,22 @@ def test_usage_errors():
     assert code == 2
 
 
+def test_closed_stdout_exits_1_quietly():
+    """A reader that stops after one line gets exit 1 and an empty stderr,
+    not a BrokenPipeError traceback; the table is larger than a pipe
+    buffer, so the CLI is still writing when the pipe closes."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oligocat.cli", "orbits", "--ctx",
+         "order:-1,-1", "--set", "Power(6)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
+
+
 def test_fraisse_commands():
     code, out, _ = run_cli("fraisse", "--class", "orders",
                            "--check", "amalgams")

@@ -11,7 +11,7 @@ from oligocat.category import (PermObject, hom_basis, idempotent_decompose,
 from oligocat.integration import (GSetMap, SchwartzFunction, change_level,
                                   pullback, pushforward)
 from oligocat.matrixalg import (EndAlgebra, InvariantMatrix, _nullspace,
-                                _poly_det, _singular_at, _trace_gram,
+                                _poly_det, _trace_gram,
                                 char_series, higher_trace, is_semisimple_end,
                                 jordan_split, matmul, min_poly, trace,
                                 trace_pairing)
@@ -148,7 +148,7 @@ def test_matmul_enumerates_no_orbit_of_zyx(monkeypatch):
 
     forbidden = {product(z, y, x) for _, z, y, x in cases}
     forbidden.update(product(alg.x, alg.x, alg.x) for alg in algebras)
-    monkeypatch.setattr(matrixalg, "_compose_cache", {})
+    matrixalg._composition_row.cache_clear()
     for cls in (SymContext, OrderContext):
         orbits = cls.orbits
 
@@ -184,14 +184,22 @@ def test_matmul_builds_one_row_per_support_orbit(monkeypatch):
     def refuse(*args):
         raise AssertionError("orbits enumerated during composition")
 
-    cache = {}
-    monkeypatch.setattr(matrixalg, "_compose_cache", cache)
-    monkeypatch.setattr(SymContext, "orbits", refuse)
-    monkeypatch.setattr(OrderContext, "orbits", refuse)
+    extended = []
+    for cls in (SymContext, OrderContext):
+        row = cls.composition_row
+
+        def recorded(self, z, y, x, level, o_zy, row=row):
+            extended.append(o_zy)
+            return row(self, z, y, x, level, o_zy)
+
+        monkeypatch.setattr(cls, "composition_row", recorded)
+        monkeypatch.setattr(cls, "orbits", refuse)
+    matrixalg._composition_row.cache_clear()
     for ctx, a, b, expected in pairs:
+        extended.clear()
         assert matmul(b, a) == expected
-        rows = cache[ctx, b.codomain, b.domain, a.domain, a.level]
-        assert set(rows) == set(b.entries.terms)
+        assert len(extended) == len(b.entries.terms)
+        assert set(extended) == set(b.entries.terms)
 
 
 def _points(expr, n):
@@ -549,6 +557,13 @@ def test_is_semisimple():
     assert is_semisimple_end(order, power(1), EvalPoint.rational(7))
 
 
+def _singular_at(gram, at):
+    """Whether det(gram) vanishes at the point: the Gram entries are
+    evaluated first and the kernel is found over Q."""
+    values = [[evaluate(c, at) for c in row] for row in gram]
+    return bool(_nullspace(map(enumerate, values), len(values)))
+
+
 def nilpotent_trace_probe(ctx, x, at):
     """The semisimplicity test that the radical replaced: the trace pairing
     is nondegenerate at the point and the nilpotent parts of three seeded
@@ -635,6 +650,27 @@ def test_singular_at_matches_determinant():
     assert outcomes == {True, False}
     with pytest.raises(ValueError):
         is_semisimple_end(sym, power(1), EvalPoint.modular(3, 5))
+
+
+def test_semisimple_pairing_check_matches_gram(monkeypatch):
+    """With the radical check switched off, is_semisimple_end is the
+    nonsingularity of the trace pairing, read off the orbit measures; it
+    agrees with the Gram matrix eliminated at the point, and both outcomes
+    occur."""
+    monkeypatch.setattr(matrixalg.SpecializedEnd, "radical", lambda self: [])
+    sym_sets = [power(1), power(2), sub(2), inj(2), union(power(1), sub(2))]
+    cases = [(sym, x) for x in sym_sets]
+    cases += [(ctx, x) for ctx in ORDERS
+              for x in (power(1), sub(2), power(2), inj(2))]
+    outcomes = []
+    for ctx, x in cases:
+        gram = _trace_gram(EndAlgebra(ctx, x))
+        for t in range(-3, 9):
+            at = EvalPoint.rational(t)
+            singular = _singular_at(gram, at)
+            assert is_semisimple_end(ctx, x, at) == (not singular)
+            outcomes.append(singular)
+    assert len(outcomes) == 252 and set(outcomes) == {True, False}
 
 
 def test_idempotent_char_series_factored():

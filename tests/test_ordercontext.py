@@ -267,7 +267,7 @@ def test_order_backend_builds_no_slot_group(monkeypatch):
         raise AssertionError("slot-permutation group built")
 
     monkeypatch.setattr(setexpr, "perm_group", refuse)
-    monkeypatch.setattr(matrixalg, "_compose_cache", {})
+    matrixalg._composition_row.cache_clear()
     setexpr._geometry.cache_clear()
     big = setexpr.SetExpr.from_text("Sub(5)*Sub(5)*Sub(3)")
     assert big.slot_count(0) == 13

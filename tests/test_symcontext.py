@@ -273,7 +273,7 @@ def test_sym_backend_builds_no_slot_group(monkeypatch):
         raise AssertionError("slot-permutation group built")
 
     monkeypatch.setattr(setexpr, "perm_group", refuse)
-    monkeypatch.setattr(matrixalg, "_compose_cache", {})
+    matrixalg._composition_row.cache_clear()
     expr = product(sub(2), power(1), sub(3))
     orbits = ctx.orbits(expr, 1)
     assert ctx.set_measure(expr, 1) == binomial_poly(2) * t * binomial_poly(3)
