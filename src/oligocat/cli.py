@@ -199,6 +199,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args) -> int:

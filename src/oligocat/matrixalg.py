@@ -2,8 +2,11 @@
 characteristic series, Jordan splitting and the trace pairing.
 
 A matrix from X to Y is a Schwartz function on Y x X; multiplication
-integrates over the middle variable.  Entries are polynomials in t through
-their orbit coefficients, so every identity here is exact.
+integrates over the middle variable, and transpose pushes the entries along
+the swap Y x X -> X x Y.  Every trace is a pairing: tr(b a) is the integral
+of b times the transpose of a (Fubini), so a trace of a product never needs
+the product.  Entries are polynomials in t through their orbit
+coefficients, so every identity here is exact.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from math import lcm
 from .scalar import (EvalPoint, Poly, TruncatedSeries, evaluate)
 from .setexpr import SetExpr, product
 from .integration import (GSetMap, SchwartzFunction, change_level, integrate,
-                          pullback, pushforward)
+                          pushforward)
 
 
 class InvariantMatrix:
@@ -96,9 +99,12 @@ class InvariantMatrix:
             raise ValueError("matrix shape mismatch")
 
     def transpose(self) -> "InvariantMatrix":
-        swap = GSetMap.swap(self.domain, self.codomain)  # dom x cod -> cod x dom
+        """The push along the swap cod x dom -> dom x cod; the swap is a
+        bijection, so every fibre measure is 1 and only the support is
+        touched."""
+        swap = GSetMap.swap(self.codomain, self.domain)
         return InvariantMatrix(self.ctx, self.codomain, self.domain,
-                               pullback(swap, self.entries))
+                               pushforward(swap, self.entries))
 
     def is_zero(self) -> bool:
         return self.entries.is_zero()
@@ -148,23 +154,29 @@ def matmul(b: InvariantMatrix, a: InvariantMatrix) -> InvariantMatrix:
                            SchwartzFunction(ctx, product(z, x), lvl, terms))
 
 
+def _pairing(b: InvariantMatrix, a: InvariantMatrix) -> Poly:
+    """tr(b a) for a: X -> Y and b: Y -> X, as the integral of b(x, y)
+    a(y, x) over X x Y (Fubini): the product b a is never formed."""
+    if b.domain != a.codomain or b.codomain != a.domain:
+        raise ValueError("pairing needs matrices X -> Y and Y -> X")
+    return integrate(b.entries * a.transpose().entries)
+
+
 def trace(a: InvariantMatrix) -> Poly:
-    """Integral of the diagonal restriction."""
+    """Integral of the diagonal restriction: the pairing with the identity."""
     if a.domain != a.codomain:
         raise ValueError("trace of a non-square matrix")
-    diag = GSetMap.diagonal(a.domain)
-    return integrate(pullback(diag, a.entries))
+    return _pairing(a, InvariantMatrix.identity(a.ctx, a.domain, a.level))
 
 
 def _power_traces(a: InvariantMatrix, n: int) -> list[Poly]:
-    """tr(a), tr(a^2), ..., tr(a^n), with n - 1 compositions."""
-    out = []
-    cur = a
-    for j in range(1, n + 1):
-        out.append(trace(cur))
-        if j < n:
-            cur = matmul(cur, a)
-    return out
+    """tr(a), tr(a^2), ..., tr(a^n): tr(a^j) is the pairing of a^ceil(j/2)
+    with a^floor(j/2), so only the powers up to a^ceil(n/2) are composed."""
+    powers = [InvariantMatrix.identity(a.ctx, a.domain, a.level), a]
+    while len(powers) <= (n + 1) // 2:
+        powers.append(matmul(powers[-1], a))
+    return [_pairing(powers[(j + 1) // 2], powers[j // 2])
+            for j in range(1, n + 1)]
 
 
 def _elementary(p: list[Poly]) -> list[Poly]:
@@ -498,29 +510,18 @@ def jordan_split(a: InvariantMatrix, at: EvalPoint
     return sp.to_matrix(s), sp.to_matrix(n)
 
 
-def _trace_gram(alg: EndAlgebra):
-    """Gram matrix tr(B_i B_j) = sum_k c_ij^k tr(B_k), read from the sparse
-    rows of the table (trace is linear)."""
-    traces = [trace(b) for b in alg.basis]
-    return [[sum((c * traces[k] for k, c in pairs), Poly.zero())
-             for pairs in plane] for plane in alg.rows()]
-
-
 def trace_pairing(ctx, x: SetExpr):
     """Gram matrix <B_i,B_j> = tr(B_i B_j) on the orbit basis, its
-    determinant, and the predicted value (-1)^r prod mu(Z_i)."""
+    determinant, and the predicted value (-1)^r prod mu(Z_i), with r the
+    number of pairs of orbits that the transpose swaps."""
     alg = EndAlgebra(ctx, x)
-    gram = _trace_gram(alg)
+    gram = [[_pairing(bi, bj) for bj in alg.basis] for bi in alg.basis]
     disc = _poly_det(gram)
-    # transpose involution on orbits
-    xx = product(x, x)
-    swap = GSetMap.swap(x, x)
-    tau = {}
-    for i, pat in enumerate(alg.orbit_list):
-        img = ctx.image_orbit(swap, pat)
-        tau[i] = alg.orbit_list.index(img)
-    r = sum(1 for i, j in tau.items() if i < j)
+    index = {pat: k for k, pat in enumerate(alg.orbit_list)}
+    r = sum(1 for i, b in enumerate(alg.basis)
+            if i < index[next(iter(b.transpose().entries.terms))])
     predicted = Poly.one()
+    xx = product(x, x)
     for pat in alg.orbit_list:
         predicted = predicted * ctx.measure(xx, pat)
     if r % 2:

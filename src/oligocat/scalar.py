@@ -649,65 +649,6 @@ class TruncatedSeries:
         tail = f"O(u^{self.order})"
         return f"{out} + {tail}" if out else tail
 
-    @staticmethod
-    def from_text(s: str, var: str = "t") -> "TruncatedSeries":
-        m = re.search(r"O\(u\^(\d+)\)\s*$", s)
-        if not m:
-            raise ValueError("series text must end with O(u^N)")
-        order = int(m.group(1))
-        body = s[: m.start()].rstrip()
-        body = body[:-1].rstrip() if body.endswith("+") else body
-        coeffs = [Poly.zero()] * order
-        if body:
-            for piece in _split_top_level(body):
-                k, c = _parse_series_term(piece, var)
-                if k >= order:
-                    raise ValueError("series term beyond the declared order")
-                coeffs[k] = coeffs[k] + c
-        return TruncatedSeries(order, coeffs)
-
-
-def _split_top_level(s: str) -> list[str]:
-    """Split on ' + ' / ' - ' at paren depth zero; the sign travels with
-    the following term."""
-    parts, depth, cur = [], 0, ""
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if (depth == 0 and ch in "+-" and i > 0 and i + 1 < len(s)
-                and s[i - 1] == " " and s[i + 1] == " "):
-            if cur.strip():
-                parts.append(cur.strip())
-            cur = "-" if ch == "-" else ""
-            i += 2
-            continue
-        cur += ch
-        i += 1
-    if cur.strip():
-        parts.append(cur.strip())
-    return parts
-
-
-def _parse_series_term(piece: str, var: str) -> tuple[int, Poly]:
-    neg = False
-    p = piece.strip()
-    if p.startswith("-"):
-        neg, p = True, p[1:].strip()
-    m = re.search(r"(?:^|\*)\s*u(?:\^(\d+))?$", p)
-    if m is None:
-        k, body = 0, p
-    else:
-        k = int(m.group(1)) if m.group(1) else 1
-        body = p[: m.start()].rstrip()
-        if body == "":
-            body = "1"
-    c = Poly.from_text(body, var)
-    return k, (-c if neg else c)
-
 
 def binomial_series(exponent, base, order: int = TruncatedSeries.DEFAULT_ORDER
                     ) -> TruncatedSeries:

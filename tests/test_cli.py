@@ -106,6 +106,22 @@ def test_usage_errors():
     assert code == 2
 
 
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    """An input too large to expand, such as Power(99999999999), ends in
+    MemoryError; the CLI reports it and exits 2.  The parser is made to
+    raise, so nothing large is allocated."""
+    from oligocat.setexpr import SetExpr
+
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(SetExpr, "from_text", exhausted)
+    assert cli.main(["measure", "--ctx", "sym", "--set",
+                     "Power(99999999999)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: out of memory\n"
+
+
 def test_closed_stdout_exits_1_quietly():
     """A reader that stops after one line gets exit 1 and an empty stderr,
     not a BrokenPipeError traceback; the table is larger than a pipe

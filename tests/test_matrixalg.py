@@ -5,13 +5,13 @@ from itertools import product as iproduct
 
 import pytest
 
-from oligocat import matrixalg
+from oligocat import integration, matrixalg
 from oligocat.category import (PermObject, hom_basis, idempotent_decompose,
                                tensor)
 from oligocat.integration import (GSetMap, SchwartzFunction, change_level,
                                   pullback, pushforward)
 from oligocat.matrixalg import (EndAlgebra, InvariantMatrix, _nullspace,
-                                _poly_det, _trace_gram,
+                                _pairing, _poly_det,
                                 char_series, higher_trace, is_semisimple_end,
                                 jordan_split, matmul, min_poly, trace,
                                 trace_pairing)
@@ -66,6 +66,15 @@ def tensor_by_pullback(m, n):
     p2 = GSetMap.proj_product([y1, y2, x1, x2], [1, 3])
     ent = pullback(p1, m.entries) * pullback(p2, n.entries)
     return InvariantMatrix(m.ctx, product(x1, x2), product(y1, y2), ent)
+
+
+def transpose_by_pullback(a):
+    """The transpose path that the push along the swap replaced: pull the
+    entries back along the swap X x Y -> Y x X, which enumerates every
+    orbit of X x Y."""
+    swap = GSetMap.swap(a.domain, a.codomain)
+    return InvariantMatrix(a.ctx, a.codomain, a.domain,
+                           pullback(swap, a.entries))
 
 
 def composition_table_by_enumeration(ctx, z, y, x, level):
@@ -162,6 +171,41 @@ def test_matmul_enumerates_no_orbit_of_zyx(monkeypatch):
     for a, b, expected in pairs:
         assert matmul(b, a) == expected
     assert [alg.structure_constants() for alg in algebras] == sc_expected
+
+
+def test_transpose_and_traces_enumerate_no_orbit_of_xx(monkeypatch):
+    """transpose pushes only the support along the swap, and trace and
+    char_series pair the support with a transpose, so none of them asks
+    for the orbits of X x X: matrices on three orbits of X x X, for order
+    Power(3) and for Power(2) and Sub(2) in both backends."""
+    rng = random.Random(61)
+    cases = []
+    for ctx, x in [(order, power(3)), (sym, power(2)), (sym, sub(2)),
+                   (order, power(2)), (OrderContext(0, -1), sub(2))]:
+        xx = product(x, x)
+        pats = rng.sample(list(ctx.orbits(xx, 0)), 3)
+        m = InvariantMatrix(ctx, x, x, SchwartzFunction(
+            ctx, xx, 0, {pat: rng.choice(COEFFS[2:]) for pat in pats}))
+        cases.append((m, transpose_by_pullback(m), char_series(m, 5)))
+    # an empty pullback index, so that no pullback hides its orbit requests
+    monkeypatch.setattr(integration, "_pull_index", {})
+    requested = []
+    for cls in (SymContext, OrderContext):
+        orbits = cls.orbits
+
+        def recording(self, expr, level, orbits=orbits):
+            requested.append(expr)
+            return orbits(self, expr, level)
+
+        monkeypatch.setattr(cls, "orbits", recording)
+    for m, transposed, series in cases:
+        xx = product(m.domain, m.domain)
+        assert m.transpose() == transposed
+        assert requested == []
+        assert char_series(m, 5) == series
+        assert trace(m) == series.coeffs[1]
+        assert m.domain in requested and xx not in requested
+        requested.clear()
 
 
 def test_matmul_builds_one_row_per_support_orbit(monkeypatch):
@@ -278,25 +322,31 @@ def _orbit_matrix(x, y, pat):
 
 def test_transpose_and_trace_match_finite_symmetric_group():
     """Over [5]: transpose(B_p) is the indicator of the swapped points of
-    p, and trace(B_p) at t = 5 counts the x with (x, x) in p, at levels 0
-    and 1.  Y x X has at most four slots, so over [5] every orbit has a
-    point."""
+    p, the pairing of B_q with B_p at t = 5 counts the (y, x) with (y, x)
+    in p and (x, y) in q, and trace(B_p) counts the x with (x, x) in p, at
+    levels 0 and 1.  Y x X has at most four slots, so over [5] every orbit
+    has a point."""
     n = 5
     at = EvalPoint.rational(n)
     sets = [power(1), inj(2), sub(2), MIXED]
     for level in (0, 1):
         for y, x in iproduct(sets, repeat=2):
             yx, xy = product(y, x), product(x, y)
-            swapped = {}
+            swapped, pairs = {}, {}
             for q in _points(y, n):
                 for p in _points(x, n):
-                    swapped.setdefault(_orbit_of(yx, q, p, x.n_comps(), level),
-                                       set()).add(
-                        _orbit_of(xy, p, q, y.n_comps(), level))
+                    o_yx = _orbit_of(yx, q, p, x.n_comps(), level)
+                    o_xy = _orbit_of(xy, p, q, y.n_comps(), level)
+                    swapped.setdefault(o_yx, set()).add(o_xy)
+                    pairs[o_yx, o_xy] = pairs.get((o_yx, o_xy), 0) + 1
             assert set(swapped) == set(sym.orbits(yx, level))
             for pat, image in swapped.items():
                 got = _orbit_matrix(x, y, pat).transpose().entries.terms
                 assert got == {r: Poly.one() for r in image}, (y, x, level)
+                for q in sym.orbits(xy, level):
+                    assert evaluate(_pairing(_orbit_matrix(y, x, q),
+                                             _orbit_matrix(x, y, pat)),
+                                    at) == pairs.get((pat, q), 0), (y, x)
                 if y == x:
                     diagonal = sum(
                         _orbit_of(yx, p, p, x.n_comps(), level) == pat
@@ -366,6 +416,38 @@ def seeded_matrix(ctx, x, y, rng, level=0):
     yx = product(y, x)
     terms = {pat: rng.choice(COEFFS) for pat in ctx.orbits(yx, level)}
     return InvariantMatrix(ctx, x, y, SchwartzFunction(ctx, yx, level, terms))
+
+
+def test_transpose_matches_pullback_along_swap():
+    """The push along the swap equals the pullback along the swap it
+    replaced, on every orbit of Y x X, in sym and the four order measures,
+    at levels 0 to 2."""
+    sets = [power(1), inj(2), sub(2), MIXED]
+    for ctx in [sym] + ORDERS:
+        for level in (0, 1, 2):
+            for y, x in iproduct(sets, repeat=2):
+                yx = product(y, x)
+                for pat in ctx.orbits(yx, level):
+                    m = InvariantMatrix(ctx, x, y, SchwartzFunction.from_orbit(
+                        ctx, yx, pat))
+                    assert m.transpose() == transpose_by_pullback(m), (
+                        ctx, y, x, level)
+
+
+def test_pairing_matches_trace_of_product():
+    """_pairing(b, a) is tr(b a), on seeded square and rectangular pairs
+    X -> Y -> X, with the levels of a and b mixed."""
+    rng = random.Random(59)
+    shapes = [(power(1), power(1)), (power(1), sub(2)), (inj(2), MIXED),
+              (MIXED, power(2))]
+    for ctx in [sym] + ORDERS:
+        for x, y in shapes:
+            for la, lb in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+                a = seeded_matrix(ctx, x, y, rng, la)
+                b = seeded_matrix(ctx, y, x, rng, lb)
+                assert _pairing(b, a) == trace(matmul(b, a)), (ctx, x, y)
+    with pytest.raises(ValueError):
+        _pairing(a, a)
 
 
 def test_matmul_matches_pullback_product_pushforward():
@@ -440,11 +522,12 @@ def test_associativity_randomized():
             assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))
 
 
-def test_char_series_composes_order_minus_two_times(monkeypatch):
-    """char_series(a, k) reads the power traces of a once: k - 2
-    compositions, not one run of powers per coefficient."""
+def test_char_series_composes_half_the_order_minus_one_times(monkeypatch):
+    """char_series(a, k) reads tr(a^j) as the pairing of a^ceil(j/2) with
+    a^floor(j/2): k // 2 - 1 compositions for the powers up to
+    a^ceil((k - 1)/2), not one run of powers per coefficient."""
     a = rand_matrix(sym, power(1), random.Random(3))
-    series = {k: char_series(a, k) for k in (1, 2, 5, 8)}
+    series = {k: char_series(a, k) for k in (1, 2, 3, 4, 5, 8)}
     calls = []
     real = matrixalg.matmul
 
@@ -456,7 +539,7 @@ def test_char_series_composes_order_minus_two_times(monkeypatch):
     for k, expected in series.items():
         calls.clear()
         assert char_series(a, k) == expected
-        assert len(calls) == max(k - 2, 0)
+        assert len(calls) == max(k // 2 - 1, 0)
     assert [higher_trace(a, n) for n in range(8)] == list(series[8].coeffs)
 
 
@@ -513,13 +596,14 @@ def test_trace_pairing_r():
 
 
 def test_trace_pairing_gram_matches_matmul():
-    """The Gram matrix read from the structure constants equals the direct
-    tr(B_i B_j) computed by composition."""
+    """The Gram matrix of pairings equals the direct tr(B_i B_j) computed
+    by composition, and the one read from the structure constants."""
     for ctx, x in [(sym, power(1)), (sym, inj(2)), (order, power(1))]:
         gram, _, _, _ = trace_pairing(ctx, x)
-        basis = EndAlgebra(ctx, x).basis
-        assert gram == [[trace(matmul(bi, bj)) for bj in basis]
-                        for bi in basis]
+        alg = EndAlgebra(ctx, x)
+        assert gram == [[trace(matmul(bi, bj)) for bj in alg.basis]
+                        for bi in alg.basis]
+        assert gram == _trace_gram(alg)
 
 
 def test_min_poly_in_corner():
@@ -555,6 +639,15 @@ def test_is_semisimple():
     assert is_semisimple_end(sym, power(1), EvalPoint.rational(5))
     assert not is_semisimple_end(sym, power(1), EvalPoint.rational(0))
     assert is_semisimple_end(order, power(1), EvalPoint.rational(7))
+
+
+def _trace_gram(alg: EndAlgebra):
+    """The Gram matrix that the pairings replaced: tr(B_i B_j) =
+    sum_k c_ij^k tr(B_k), read from the sparse rows of the table (trace is
+    linear)."""
+    traces = [trace(b) for b in alg.basis]
+    return [[sum((c * traces[k] for k, c in pairs), Poly.zero())
+             for pairs in plane] for plane in alg.rows()]
 
 
 def _singular_at(gram, at):
