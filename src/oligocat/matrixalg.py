@@ -59,9 +59,7 @@ class InvariantMatrix:
 
     @staticmethod
     def identity(ctx, x: SetExpr, level: int = 0) -> "InvariantMatrix":
-        ent = pushforward(GSetMap.diagonal(x),
-                          SchwartzFunction.indicator(ctx, x, level))
-        return InvariantMatrix(ctx, x, x, ent)
+        return _identity(ctx, x, level)
 
     @staticmethod
     def all_ones(ctx, x: SetExpr, level: int = 0) -> "InvariantMatrix":
@@ -108,6 +106,14 @@ class InvariantMatrix:
 
     def is_zero(self) -> bool:
         return self.entries.is_zero()
+
+
+@lru_cache(maxsize=None)
+def _identity(ctx, x: SetExpr, level: int) -> InvariantMatrix:
+    """The identity of X at a level, shared: nothing changes it once built."""
+    ent = pushforward(GSetMap.diagonal(x),
+                      SchwartzFunction.indicator(ctx, x, level))
+    return InvariantMatrix(ctx, x, x, ent)
 
 
 # Composition integrates over the middle variable, so each coefficient of b
@@ -163,10 +169,12 @@ def _pairing(b: InvariantMatrix, a: InvariantMatrix) -> Poly:
 
 
 def trace(a: InvariantMatrix) -> Poly:
-    """Integral of the diagonal restriction: the pairing with the identity."""
+    """Integral of the diagonal restriction: the pairing with the identity,
+    which is its own transpose, so nothing is transposed."""
     if a.domain != a.codomain:
         raise ValueError("trace of a non-square matrix")
-    return _pairing(a, InvariantMatrix.identity(a.ctx, a.domain, a.level))
+    identity = InvariantMatrix.identity(a.ctx, a.domain, a.level)
+    return integrate(a.entries * identity.entries)
 
 
 def _power_traces(a: InvariantMatrix, n: int) -> list[Poly]:
@@ -227,7 +235,6 @@ class EndAlgebra:
             for pat in self.orbit_list]
         self.dim = len(self.basis)
         self._rows = None
-        self._identity = None
 
     def matrix_to_vec(self, a: InvariantMatrix) -> list[Poly]:
         ent = a.entries
@@ -274,10 +281,7 @@ class EndAlgebra:
         return out
 
     def identity_vec(self) -> list[Poly]:
-        if self._identity is None:
-            self._identity = self.matrix_to_vec(
-                InvariantMatrix.identity(self.ctx, self.x))
-        return self._identity
+        return self.matrix_to_vec(InvariantMatrix.identity(self.ctx, self.x))
 
     def specialize(self, at: EvalPoint) -> "SpecializedEnd":
         if at.mode != "rational":

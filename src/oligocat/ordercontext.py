@@ -21,7 +21,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .scalar import Poly
-from .setexpr import SetExpr
+from .setexpr import SetExpr, measure_polynomial
 
 # Pattern classes are tuples of items; an item is a slot id >= 0 or -i for
 # the i-th pinned constant (so constants sort first within a class).
@@ -144,8 +144,11 @@ class OrderContext:
         return Poly.const(_gap_product(self.spec, _gaps(pat.classes)))
 
     def set_measure(self, expr: SetExpr, level: int = 0) -> Poly:
-        return Poly.const(sum(_gap_product(self.spec, _gaps(pat.classes))
-                              for pat in self.orbits(expr, level)))
+        """The product rule at mu(R) = epsilon + delta + 1, an integer since
+        binomial polynomials are integer-valued; no orbit is enumerated.
+        The level cannot change the value: restriction keeps a measure."""
+        return Poly.const(measure_polynomial(expr)(
+            _full_line_value(self.spec.epsilon, self.spec.delta, 1)))
 
     # -- level refinement ----------------------------------------------
 

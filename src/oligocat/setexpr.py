@@ -13,12 +13,17 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, NamedTuple
 
+from .scalar import Poly, binomial_poly, falling_factorial
+
 # A factor is (kind, arity) with kind in {"P", "I", "S"}.
 Factor = tuple[str, int]
 Component = tuple[Factor, ...]
 
 _KIND_NAMES = {"P": "Power", "I": "Inj", "S": "Sub"}
 _NAME_KINDS = {v: k for k, v in _KIND_NAMES.items()}
+
+# Most slots in one component of a parsed set; beyond it arithmetic only spins.
+MAX_SLOTS = 1000
 
 
 class SetExpr:
@@ -109,18 +114,39 @@ class SetExpr:
             if part == "1":
                 comps.append(())
                 continue
-            factors = []
+            factors, slots = [], 0
             for f in part.split("*"):
                 f = f.strip()
-                if f in ("Omega", "R"):
-                    factors.append(("P", 1))
-                    continue
-                m = re.fullmatch(r"(Power|Inj|Sub)\((\d+)\)", f)
+                m = re.fullmatch(r"(Power|Inj|Sub)\((\d+)\)|Omega|R", f)
                 if not m:
                     raise ValueError(f"bad factor text {f!r}")
-                factors.append((_NAME_KINDS[m.group(1)], int(m.group(2))))
+                kind, n = (_NAME_KINDS[m[1]], int(m[2])) if m[1] else ("P", 1)
+                slots += n
+                if slots > MAX_SLOTS:
+                    raise ValueError(f"factor {f!r} takes its component past "
+                                     f"{MAX_SLOTS} slots")
+                factors.append((kind, n))
             comps.append(tuple(factors))
         return SetExpr(comps)
+
+
+def measure_polynomial(expr: SetExpr) -> Poly:
+    """mu(X) as a polynomial in x = mu(Omega), on every backend: a measure
+    is additive, multiplies along products and is unchanged by restriction,
+    so mu(X) sums over components the products of x^k, (x)_k, binom(x, k)."""
+    x = Poly.var()
+    total = Poly.zero()
+    for comp in expr.comps:
+        term = Poly.one()
+        for kind, n in comp:
+            if kind == "P":
+                term = term * x ** n
+            elif kind == "I":
+                term = term * falling_factorial(0, n)
+            else:
+                term = term * binomial_poly(n)
+        total = total + term
+    return total
 
 
 class SlotGeometry(NamedTuple):

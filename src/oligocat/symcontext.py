@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
 from .scalar import Poly, falling_factorial
-from .setexpr import SetExpr, product
+from .setexpr import SetExpr, measure_polynomial, product
 
 # A pattern's blocks are a tuple of (slots, pin) with slots a sorted tuple of
 # slot ids and pin either an int in 1..N or None (generic).
@@ -162,17 +161,9 @@ class SymContext:
         return falling_factorial(pat.level, g) / s
 
     def set_measure(self, expr: SetExpr, level: int = 0) -> Poly:
-        """Sum of ff(N, g) / |Stab| over the orbits: the 1/|Stab| are added
-        up per generic count g first, then scale one ff(N, g) each."""
-        weights: dict[int, Fraction] = {}
-        for pat in self.orbits(expr, level):
-            g = pat.generic_count()
-            weights[g] = (weights.get(g, 0)
-                          + Fraction(1, self.stabilizer_order(expr, pat)))
-        total = Poly.zero()
-        for g, w in sorted(weights.items()):
-            total = total + falling_factorial(level, g) * w
-        return total
+        """The product rule at mu(Omega) = t; no orbit is enumerated.  The
+        level cannot change the value: restriction keeps a measure."""
+        return measure_polynomial(expr)
 
     # -- fixed points -------------------------------------------------
 

@@ -107,9 +107,9 @@ def test_usage_errors():
 
 
 def test_out_of_memory_exits_2(monkeypatch, capsys):
-    """An input too large to expand, such as Power(99999999999), ends in
-    MemoryError; the CLI reports it and exits 2.  The parser is made to
-    raise, so nothing large is allocated."""
+    """A command that runs out of memory ends in MemoryError; the CLI
+    reports it and exits 2.  The parser is made to raise, so nothing large
+    is allocated."""
     from oligocat.setexpr import SetExpr
 
     def exhausted(text):
@@ -181,6 +181,35 @@ def test_glq_commands():
     code, out, _ = run_cli("glq", "--q", "3", "--what", "grassmann",
                            "--bound", "3")
     assert code == 0
+
+
+@pytest.mark.parametrize("ctx", ["sym", "order:-1,0"])
+@pytest.mark.parametrize("text,factor", [
+    ("Power(1001)", "Power(1001)"), ("Inj(1001)", "Inj(1001)"),
+    ("Sub(1001)", "Sub(1001)"), ("Sub(600)*Omega*Inj(400)", "Inj(400)")])
+def test_oversized_set_is_refused_at_parse_time(ctx, text, factor,
+                                                monkeypatch, capsys):
+    """A component of more than MAX_SLOTS slots exits 2 naming the factor
+    that passes the bound, before any backend sees the set."""
+    from oligocat.ordercontext import OrderContext
+    from oligocat.symcontext import SymContext
+
+    def refuse(*args):
+        raise AssertionError("the set reached the backend")
+
+    for cls in (SymContext, OrderContext):
+        monkeypatch.setattr(cls, "set_measure", refuse)
+    assert cli.main(["measure", "--ctx", ctx, "--set", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: factor {factor!r} takes its component "
+                            f"past 1000 slots\n")
+
+
+def test_set_at_the_slot_bound_is_measured(capsys):
+    assert cli.main(["measure", "--ctx", "order:-1,-1", "--set",
+                     "Sub(1000) + Sub(999)*Omega"]) == 0
+    assert capsys.readouterr().out == "2\n"
 
 
 SETS_TABLE = ["fraisse", "--class", "sets", "--check", "measure",

@@ -198,6 +198,8 @@ def test_transpose_and_traces_enumerate_no_orbit_of_xx(monkeypatch):
             return orbits(self, expr, level)
 
         monkeypatch.setattr(cls, "orbits", recording)
+    # the identities are cached; rebuilt, each asks for the orbits of X
+    matrixalg._identity.cache_clear()
     for m, transposed, series in cases:
         xx = product(m.domain, m.domain)
         assert m.transpose() == transposed
@@ -432,6 +434,16 @@ def test_transpose_matches_pullback_along_swap():
                         ctx, yx, pat))
                     assert m.transpose() == transpose_by_pullback(m), (
                         ctx, y, x, level)
+
+
+def test_identity_is_its_own_transpose():
+    """trace pairs a with the identity without transposing it, which holds
+    because the identity is symmetric."""
+    for ctx in [sym] + ORDERS:
+        for x in [power(1), power(2), inj(2), MIXED]:
+            for level in range(3):
+                one = InvariantMatrix.identity(ctx, x, level)
+                assert one.transpose() == one, (ctx, x, level)
 
 
 def test_pairing_matches_trace_of_product():

@@ -1,13 +1,16 @@
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 from itertools import product as iproduct
 from math import comb
 
 import pytest
 
-from oligocat.ordercontext import OrderContext
+from oligocat.ordercontext import (LEGAL_SPECS, OrderContext, _gap_product,
+                                   _gaps)
 from oligocat.scalar import Poly, binomial_poly, falling_factorial
-from oligocat.setexpr import inj, one, perm_group, power, product, sub, union
+from oligocat.setexpr import (SetExpr, inj, one, perm_group, power, product,
+                              sub, union)
 from oligocat.symcontext import (SymContext, SymPattern, _blocks_key,
                                  _partitions, _sort_blocks)
 
@@ -285,14 +288,68 @@ def test_sym_backend_builds_no_slot_group(monkeypatch):
     assert len(EndAlgebra(ctx, sub(2)).structure_constants()) == 3
 
 
-@pytest.mark.parametrize("backend", [ctx, OrderContext(-1, -1)],
-                         ids=["sym", "order"])
+def set_measure_by_orbit_sum(backend, expr, level):
+    """The orbit sums that set_measure computed before the product rule.
+    sym: ff(N, g) / |Stab| over the orbits, the 1/|Stab| added up per
+    generic count g first; order: the gap products of the orbits."""
+    if isinstance(backend, OrderContext):
+        return Poly.const(sum(_gap_product(backend.spec, _gaps(pat.classes))
+                              for pat in backend.orbits(expr, level)))
+    weights = {}
+    for pat in backend.orbits(expr, level):
+        g = pat.generic_count()
+        weights[g] = (weights.get(g, 0)
+                      + Fraction(1, backend.stabilizer_order(expr, pat)))
+    total = Poly.zero()
+    for g, w in sorted(weights.items()):
+        total = total + falling_factorial(level, g) * w
+    return total
+
+
+MEASURE_SETS = [SetExpr.from_text(s) for s in (
+    "0", "1", "Omega", "Power(2)", "Power(4)", "Inj(2)", "Inj(3)", "Sub(2)",
+    "Sub(3)", "Sub(2)*Sub(2)", "Sub(2)*Power(2)", "Inj(2)*Sub(2)",
+    "Inj(3)*Power(1)", "Sub(3)*Sub(2)*Sub(2)", "1 + Omega",
+    "Power(2) + Sub(2) + 1", "Inj(2)*Sub(2) + Sub(3)",
+    "Sub(2)*Power(2) + Inj(2)", "Inj(2)*Power(1) + Sub(2)*Sub(2)")]
+BACKENDS = [ctx] + [OrderContext(e, d) for e, d in LEGAL_SPECS]
+BACKEND_IDS = ["sym"] + [f"order:{e},{d}" for e, d in LEGAL_SPECS]
+
+
+def _measure_cases(backend):
+    """Sets and levels 0..3; an order case keeps at most 8 slots and
+    constants (Sub(3)*Sub(2)*Sub(2) has 401,679 orbits at level 3)."""
+    return [(expr, level) for expr in MEASURE_SETS for level in range(4)
+            if isinstance(backend, SymContext)
+            or max((expr.slot_count(c) for c in range(expr.n_comps())),
+                   default=0) + level <= 8]
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
 def test_set_measure_is_sum_of_orbit_measures(backend):
-    for expr, level in [(product(sub(3), sub(2), sub(2)), 0),
-                        (product(sub(2), power(2)), 1),
-                        (union(product(inj(2), sub(2)), sub(3)), 2),
-                        (power(4), 2), (one(), 1)]:
+    for expr, level in _measure_cases(backend):
         total = Poly.zero()
         for pat in backend.orbits(expr, level):
             total = total + backend.measure(expr, pat)
         assert backend.set_measure(expr, level) == total
+        assert set_measure_by_orbit_sum(backend, expr, level) == total
+
+
+def test_set_measure_enumerates_no_orbit(monkeypatch):
+    """The product rule needs no orbit of the set at any level; the values
+    are those of test_set_measure_is_sum_of_orbit_measures."""
+    from oligocat import ordercontext, symcontext
+
+    expected = {(backend, expr, level): backend.set_measure(expr, level)
+                for backend in BACKENDS
+                for expr, level in _measure_cases(backend)}
+
+    def refuse(*args):
+        raise AssertionError("orbits enumerated")
+
+    monkeypatch.setattr(SymContext, "orbits", refuse)
+    monkeypatch.setattr(OrderContext, "orbits", refuse)
+    monkeypatch.setattr(symcontext, "_sym_orbits", refuse)
+    monkeypatch.setattr(ordercontext, "_order_orbits", refuse)
+    for (backend, expr, level), value in expected.items():
+        assert backend.set_measure(expr, level) == value
