@@ -202,6 +202,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: too many slots to enumerate", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args) -> int:

@@ -59,7 +59,9 @@ class InvariantMatrix:
 
     @staticmethod
     def identity(ctx, x: SetExpr, level: int = 0) -> "InvariantMatrix":
-        return _identity(ctx, x, level)
+        ent = pushforward(GSetMap.diagonal(x),
+                          SchwartzFunction.indicator(ctx, x, level))
+        return InvariantMatrix(ctx, x, x, ent)
 
     @staticmethod
     def all_ones(ctx, x: SetExpr, level: int = 0) -> "InvariantMatrix":
@@ -106,14 +108,6 @@ class InvariantMatrix:
 
     def is_zero(self) -> bool:
         return self.entries.is_zero()
-
-
-@lru_cache(maxsize=None)
-def _identity(ctx, x: SetExpr, level: int) -> InvariantMatrix:
-    """The identity of X at a level, shared: nothing changes it once built."""
-    ent = pushforward(GSetMap.diagonal(x),
-                      SchwartzFunction.indicator(ctx, x, level))
-    return InvariantMatrix(ctx, x, x, ent)
 
 
 # Composition integrates over the middle variable, so each coefficient of b

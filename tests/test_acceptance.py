@@ -27,8 +27,8 @@ from oligocat.fraisse import (EmbeddingMap, FiniteSet, TotalOrder,
                               enumerate_amalgamations, orders_sign, sets_nu_t,
                               verify_measure)
 from oligocat.glqmeasure import QContext, count_subspaces
-from oligocat.integration import (GSetMap, SchwartzFunction, projection_square,
-                                  pushforward)
+from oligocat.integration import (GSetMap, SchwartzFunction, integrate,
+                                  projection_square, pushforward)
 from oligocat.matrixalg import (InvariantMatrix, char_series, matmul, trace,
                                 trace_pairing)
 from oligocat.ordercontext import OrderContext, single_color_symbols
@@ -63,7 +63,8 @@ def test_criterion_02_fixed_point_interpolation():
     ok = True
     for k in range(5):
         for expr in (power(k), inj(k), sub(k)):
-            mu = sym.set_measure(expr)
+            # the sum of the orbit measures, not the product rule
+            mu = integrate(SchwartzFunction.indicator(sym, expr, 0))
             for n in range(9):
                 ok &= mu(n) == sym.fixed_points(expr, n)
     assert report(2, ok, "fixed points = evaluated measure, k <= 4, n <= 8")

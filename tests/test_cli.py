@@ -122,6 +122,16 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     assert captured.out == "" and captured.err == "error: out of memory\n"
 
 
+@pytest.mark.parametrize("ctx", ["sym", "order:-1,-1"])
+def test_too_deep_enumeration_exits_2(ctx, capsys):
+    """Sub(999) passes the slot bound, but orbit enumeration recurses once
+    per slot; the RecursionError is reported without a traceback."""
+    assert cli.main(["orbits", "--ctx", ctx, "--set", "Sub(999)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: too many slots to enumerate\n"
+
+
 def test_closed_stdout_exits_1_quietly():
     """A reader that stops after one line gets exit 1 and an empty stderr,
     not a BrokenPipeError traceback; the table is larger than a pipe
