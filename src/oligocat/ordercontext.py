@@ -21,7 +21,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .scalar import Poly
-from .setexpr import SetExpr, measure_polynomial
+from .setexpr import SetExpr, check_enumerable, measure_polynomial
 
 # Pattern classes are tuples of items; an item is a slot id >= 0 or -i for
 # the i-th pinned constant (so constants sort first within a class).
@@ -144,11 +144,11 @@ class OrderContext:
         return Poly.const(_gap_product(self.spec, _gaps(pat.classes)))
 
     def set_measure(self, expr: SetExpr, level: int = 0) -> Poly:
-        """The product rule at mu(R) = epsilon + delta + 1, an integer since
-        binomial polynomials are integer-valued; no orbit is enumerated.
+        """The product rule on integers at mu(R) = epsilon + delta + 1; no
+        polynomial is built and no orbit is enumerated.
         The level cannot change the value: restriction keeps a measure."""
-        return Poly.const(measure_polynomial(expr)(
-            _full_line_value(self.spec.epsilon, self.spec.delta, 1)))
+        return Poly.const(measure_polynomial(
+            expr, _full_line_value(self.spec.epsilon, self.spec.delta, 1)))
 
     # -- level refinement ----------------------------------------------
 
@@ -158,6 +158,7 @@ class OrderContext:
         never reorders Sub slots, so the refined patterns stay canonical."""
         if level2 < pat.level:
             raise ValueError("refinement level must not decrease")
+        check_enumerable(level2, expr.slot_count(pat.comp))
         new = tuple(-i for i in range(pat.level + 1, level2 + 1))
         chain = ((-pat.level,) if pat.level else ()) + new
         return [OrderPattern(pat.comp, level2,
@@ -216,6 +217,7 @@ class OrderContext:
         zc, yc = divmod(o_zy.comp, ny)
         kz, ky = z.slot_count(zc), y.slot_count(yc)
         top = kz + ky  # X item j is top + j
+        check_enumerable(level, *(top + x.slot_count(xc) for xc in range(nx)))
         for xc in range(nx):
             kx = x.slot_count(xc)
             # class -> (Y items only, its Y x X class, its Z x X class); the
@@ -320,14 +322,14 @@ def _full_line_value(e: int, d: int, k: int) -> int:
 def _order_orbits(expr: SetExpr, level: int) -> tuple[OrderPattern, ...]:
     """Canonical patterns generated directly: the constants and each Sub
     factor's slots are chains, so every orbit comes out once."""
+    check_enumerable(level, *map(expr.slot_count, range(expr.n_comps())))
     out = []
     consts = tuple(-i for i in range(1, level + 1))
     for c in range(expr.n_comps()):
-        items = list(consts) + list(range(expr.slot_count(c)))
+        items = consts + tuple(range(expr.slot_count(c)))
         chains = (consts,) + expr.sub_groups(c)
-        for classes in _weak_orders(items, expr.separated_groups(c), chains):
-            out.append(OrderPattern(c, level, classes))
-    out.sort(key=lambda p: (p.comp, p.classes))
+        out.extend(OrderPattern(c, level, classes) for classes in sorted(
+            _weak_orders(items, expr.separated_groups(c), chains)))
     return tuple(out)
 
 
@@ -335,44 +337,39 @@ def _shifted(groups, offset: int):
     return tuple(tuple(offset + s for s in g) for g in groups)
 
 
-def _weak_orders(items, separated, chains=(), classes=()):
+def _weak_orders(items, separated, chains=(), classes=()) -> list[Classes]:
     """All ordered set partitions of `items` with each separated group's
     members in pairwise distinct classes and each chain's members, taken
-    in chain order, in strictly increasing classes.  A chain's members
-    must come in chain order in `items`.  Given `classes`, a weak order on
-    other items, yields its extensions instead: each item joins one of
-    those classes, which keep their order, or a new class in any gap.
-    A class lists the given items, then the added ones in the order of
-    `items`; so it comes out sorted when that order is increasing and
-    above the given items, or when, like the constants -1, -2, ..., the
-    items out of order never share a class."""
-    sep_of = {}
-    for g in separated:
-        for s in g:
-            sep_of[s] = set(g) - {s}
+    in chain order, in strictly increasing classes.  The separated groups
+    are pairwise disjoint, and a chain's members come in chain order in
+    `items`.  Given `classes`, a weak order on other items, lists its
+    extensions instead: each item joins one of those classes, which keep
+    their order, or a new class in any gap.  Built breadth first, one
+    level per item (callers bound the items by setexpr.MAX_SLOTS), each
+    weak order extended by joining a class, then by a new class, in
+    position order: depth-first order.  A class lists the given items,
+    then the added ones in the order of `items`; so it comes out sorted
+    when that order is increasing and above the given items, or when, like
+    the constants -1, -2, ..., the items out of order never share a class."""
+    sep_of = {s: frozenset(g) for g in separated for s in g}
     prev_of = {b: a for chain in chains for a, b in zip(chain, chain[1:])}
-
-    def rec(idx, classes):
-        if idx == len(items):
-            yield tuple(tuple(c) for c in classes)
-            return
-        item = items[idx]
-        forbidden = sep_of.get(item, ())
+    orders = [tuple(classes)]
+    for item in items:
+        forbidden = sep_of.get(item)
         prev = prev_of.get(item)
-        # a chain member goes strictly above its predecessor's class
-        start = 0 if prev is None else 1 + next(
-            i for i, cls in enumerate(classes) if prev in cls)
-        for pos in range(start, len(classes)):
-            if not any(o in forbidden for o in classes[pos]):
-                classes[pos].append(item)
-                yield from rec(idx + 1, classes)
-                classes[pos].pop()
-        for pos in range(start, len(classes) + 1):
-            classes.insert(pos, [item])
-            yield from rec(idx + 1, classes)
-            classes.pop(pos)
-
-    yield from rec(0, [list(cls) for cls in classes])
+        single = ((item,),)
+        new = []
+        for cs in orders:
+            # a chain member goes strictly above its predecessor's class
+            start = 0 if prev is None else 1 + next(
+                i for i, cls in enumerate(cs) if prev in cls)
+            for pos in range(start, len(cs)):
+                if forbidden is None or forbidden.isdisjoint(cs[pos]):
+                    new.append(cs[:pos] + (cs[pos] + (item,),) + cs[pos + 1:])
+            for pos in range(start, len(cs) + 1):
+                new.append(cs[:pos] + single + cs[pos:])
+        orders = new
+    return orders
 
 
 def parse_order_pattern(expr: SetExpr, s: str, ctx: OrderContext | None = None

@@ -9,8 +9,9 @@ set is the empty product; the empty set is the empty union.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations
+from math import factorial, prod
 from typing import Iterable, NamedTuple
 
 from .scalar import Poly, binomial_poly, falling_factorial
@@ -130,23 +131,35 @@ class SetExpr:
         return SetExpr(comps)
 
 
-def measure_polynomial(expr: SetExpr) -> Poly:
-    """mu(X) as a polynomial in x = mu(Omega), on every backend: a measure
-    is additive, multiplies along products and is unchanged by restriction,
-    so mu(X) sums over components the products of x^k, (x)_k, binom(x, k)."""
-    x = Poly.var()
-    total = Poly.zero()
+def measure_polynomial(expr: SetExpr, x: int | None = None):
+    """mu(X) as a polynomial in x = mu(Omega), on every backend, or its
+    value at an integer x, computed on integers: a measure is additive,
+    multiplies along products and is unchanged by restriction, so mu(X)
+    sums over components the products of x^k, (x)_k, binom(x, k)."""
+    if x is None:
+        x, falling, binomial = (Poly.var(), partial(falling_factorial, 0),
+                                binomial_poly)
+    else:
+        def falling(n):
+            return prod(range(x, x - n, -1))
+
+        def binomial(n):
+            return falling(n) // factorial(n)
+    total = 0 * x  # a Poly or an int, as x is
     for comp in expr.comps:
-        term = Poly.one()
+        term = x ** 0
         for kind, n in comp:
-            if kind == "P":
-                term = term * x ** n
-            elif kind == "I":
-                term = term * falling_factorial(0, n)
-            else:
-                term = term * binomial_poly(n)
+            term = term * (x ** n if kind == "P" else
+                           falling(n) if kind == "I" else binomial(n))
         total = total + term
     return total
+
+
+def check_enumerable(level: int, *slot_counts: int) -> None:
+    """Refuse, with ValueError, more than MAX_SLOTS slots and constants."""
+    if level + max(slot_counts, default=0) > MAX_SLOTS:
+        raise ValueError(f"{max(slot_counts)} slots and {level} constants "
+                         f"are too many to enumerate (at most {MAX_SLOTS})")
 
 
 class SlotGeometry(NamedTuple):

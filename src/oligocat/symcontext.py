@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from .scalar import Poly, falling_factorial
-from .setexpr import SetExpr, measure_polynomial, product
+from .setexpr import SetExpr, check_enumerable, measure_polynomial, product
 
 # A pattern's blocks are a tuple of (slots, pin) with slots a sorted tuple of
 # slot ids and pin either an int in 1..N or None (generic).
@@ -196,23 +196,21 @@ class SymContext:
         {level+1..level2}."""
         if level2 < pat.level:
             raise ValueError("refinement level must not decrease")
+        check_enumerable(level2, expr.slot_count(pat.comp))
         if level2 == pat.level:
             return [pat]
         new = level2 - pat.level
         gen_idx = [i for i, (_, pin) in enumerate(pat.blocks) if pin is None]
-        out, seen = [], set()
+        out = {}  # the refined orbits in order of first appearance
         # the new constants are the items; the generic blocks are given
         for part in _partitions(new, (tuple(range(new)),), len(gen_idx)):
             blocks = list(pat.blocks)
             for i, placed in zip(gen_idx, part):
                 if placed:
                     blocks[i] = (blocks[i][0], pat.level + 1 + placed[0])
-            q = self.canonicalize(expr, SymPattern(pat.comp, level2,
-                                                   _sort_blocks(blocks)))
-            if q.blocks not in seen:
-                seen.add(q.blocks)
-                out.append(q)
-        return out
+            out[self.canonicalize(expr, SymPattern(
+                pat.comp, level2, _sort_blocks(blocks)))] = None
+        return list(out)
 
     # -- pushforward primitive -------------------------------------------
 
@@ -279,6 +277,8 @@ class SymContext:
         yx_expr, zx_expr = product(y, x), product(z, x)
         zc, yc = divmod(o_zy.comp, ny)
         kz, ky = z.slot_count(zc), y.slot_count(yc)
+        check_enumerable(level, *(kz + ky + x.slot_count(xc)
+                                  for xc in range(nx)))
         s_zy = self.stabilizer_order(product(z, y), o_zy)
         used = {pin for _, pin in o_zy.blocks}
         given = [(pin, tuple(s for s in slots if s < kz),
@@ -346,24 +346,26 @@ class SymContext:
 def _sym_orbits(expr: SetExpr, level: int) -> tuple[SymPattern, ...]:
     """Every partition of the slots and the constants, one per signature
     multiset."""
+    check_enumerable(level, *map(expr.slot_count, range(expr.n_comps())))
     out = []
     for c in range(expr.n_comps()):
         k = expr.slot_count(c)
         subs = expr.sub_groups(c)
-        owner = _sub_owner(subs)
-        seen = set()
-        constants = tuple(range(k, k + level))
-        for part in _partitions(k + level,
-                                expr.separated_groups(c) + (constants,)):
-            blocks = [_pinned(b, k) for b in part if b[0] < k]
-            if not subs:  # distinct labelled patterns are distinct orbits
-                out.append(SymPattern(c, level, _sort_blocks(blocks)))
-                continue
-            sig = _signature(blocks, owner)
-            if sig not in seen:
-                seen.add(sig)
-                out.append(SymPattern(c, level, _canonical_blocks(sig, subs)))
-    out.sort(key=lambda p: (p.comp, _blocks_key(p.blocks)))
+        # the constants are items k..k+N-1: a block with item k + i - 1 is
+        # pinned to i, and a block of a constant alone is dropped
+        labelled = ([(b, None) if b[-1] < k else (b[:-1], b[-1] - k + 1)
+                     for b in part if b[0] < k] for part in _partitions(
+                        k + level, expr.separated_groups(c)
+                        + (tuple(range(k, k + level)),)))
+        if subs:
+            owner = _sub_owner(subs)
+            raw = [_canonical_blocks(sig, subs) for sig in
+                   {_signature(blocks, owner) for blocks in labelled}]
+        else:  # distinct labelled patterns are distinct orbits, blocks sorted
+            raw = [tuple(sorted(blocks, key=_block_key))
+                   for blocks in labelled]
+        out.extend(SymPattern(c, level, blocks)
+                   for blocks in sorted(raw, key=_blocks_key))
     return tuple(out)
 
 
@@ -446,37 +448,25 @@ def _stabilizer_order(sig) -> int:
     return prod(factorial(m) for m in classes.values())
 
 
-def _partitions(k: int, separated, fixed: int = 0):
+def _partitions(k: int, separated, fixed: int = 0) -> list:
     """All set partitions of items 0..k-1 with each separated group's items
-    in pairwise distinct blocks, as tuples of sorted item tuples.  The first
-    `fixed` blocks are given and may stay empty: an item joins one of them,
-    a block opened before or a new block."""
-    sep_of = [set() for _ in range(k)]
-    for g in separated:
-        for s in g:
-            sep_of[s] = set(g) - {s}
-    out = []
-
-    def rec(slot, blocks):
-        if slot == k:
-            out.append(tuple(tuple(b) for b in blocks))
-            return
-        for b in blocks:
-            if not sep_of[slot] & set(b):
-                b.append(slot)
-                rec(slot + 1, blocks)
-                b.pop()
-        blocks.append([slot])
-        rec(slot + 1, blocks)
-        blocks.pop()
-
-    rec(0, [[] for _ in range(fixed)])
-    return out
-
-
-def _pinned(block, k: int):
-    """A block of slots 0..k-1 and at most one constant item k + i - 1 as
-    (slots, pin i), or (slots, None) without a constant."""
-    if block[-1] < k:
-        return block, None
-    return block[:-1], block[-1] - k + 1
+    in pairwise distinct blocks, as tuples of sorted item tuples; the
+    separated groups are pairwise disjoint.  The first `fixed` blocks are
+    given and may stay empty: an item joins one of them, a block opened
+    before or a new block.  Built breadth first, one level per item (the
+    callers bound k by setexpr.MAX_SLOTS), each partition extended by
+    joining a block, then by a new block, in block order: the order of a
+    depth-first search over those choices."""
+    sep_of = {s: frozenset(g) for g in separated for s in g}
+    parts = [((),) * fixed]
+    for item in range(k):
+        forbidden = sep_of.get(item)
+        single = ((item,),)
+        new = []
+        for blocks in parts:
+            for i, b in enumerate(blocks):
+                if forbidden is None or forbidden.isdisjoint(b):
+                    new.append(blocks[:i] + (b + (item,),) + blocks[i + 1:])
+            new.append(blocks + single)
+        parts = new
+    return parts

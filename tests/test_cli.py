@@ -123,13 +123,49 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("ctx", ["sym", "order:-1,-1"])
-def test_too_deep_enumeration_exits_2(ctx, capsys):
-    """Sub(999) passes the slot bound, but orbit enumeration recurses once
-    per slot; the RecursionError is reported without a traceback."""
-    assert cli.main(["orbits", "--ctx", ctx, "--set", "Sub(999)"]) == 2
+def test_one_orbit_near_the_slot_bound_is_listed(ctx, capsys):
+    """Sub(999) has one orbit; enumeration places one slot per level, with
+    no recursion per slot, so it is listed."""
+    assert cli.main(["orbits", "--ctx", ctx, "--set", "Sub(999)"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == "# 1 orbits"
+
+
+def test_too_deep_recursion_exits_2(monkeypatch, capsys):
+    """A command that ends in RecursionError is reported without a
+    traceback and exits 2.  The parser is made to raise, so nothing
+    recurses."""
+    from oligocat.setexpr import SetExpr
+
+    def too_deep(text):
+        raise RecursionError
+
+    monkeypatch.setattr(SetExpr, "from_text", too_deep)
+    assert cli.main(["orbits", "--ctx", "sym", "--set", "Sub(3)"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: too many slots to enumerate\n"
+
+
+@pytest.mark.parametrize("ctx", ["sym", "order:-1,-1"])
+def test_product_past_the_slot_bound_exits_2(ctx, monkeypatch, capsys):
+    """Sub(600) passes the parser, but Hom(X, Y) enumerates the orbits of
+    Y x X, a component of 1,200 slots: refused with exit 2 before
+    anything is enumerated."""
+    from oligocat import ordercontext, symcontext
+
+    def refuse(*args):
+        raise AssertionError("orbits enumerated")
+
+    monkeypatch.setattr(symcontext, "_partitions", refuse)
+    monkeypatch.setattr(ordercontext, "_weak_orders", refuse)
+    assert cli.main(["hom", "--ctx", ctx, "--x", "Sub(600)",
+                     "--y", "Sub(600)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 1200 slots and 0 constants are too many "
+                            "to enumerate (at most 1000)\n")
 
 
 def test_closed_stdout_exits_1_quietly():

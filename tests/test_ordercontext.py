@@ -243,6 +243,67 @@ def test_orbits_match_slot_symmetry_search(expr, level):
     assert set(orbits) == found
 
 
+def _weak_orders_by_recursion(items, separated, chains=(), classes=()):
+    """The depth-first enumerator that _weak_orders replaced, one recursive
+    call per item: the oracle for its output and its order."""
+    sep_of = {}
+    for g in separated:
+        for s in g:
+            sep_of[s] = set(g) - {s}
+    prev_of = {b: a for chain in chains for a, b in zip(chain, chain[1:])}
+
+    def rec(idx, classes):
+        if idx == len(items):
+            yield tuple(tuple(c) for c in classes)
+            return
+        item = items[idx]
+        forbidden = sep_of.get(item, ())
+        prev = prev_of.get(item)
+        start = 0 if prev is None else 1 + next(
+            i for i, cls in enumerate(classes) if prev in cls)
+        for pos in range(start, len(classes)):
+            if not any(o in forbidden for o in classes[pos]):
+                classes[pos].append(item)
+                yield from rec(idx + 1, classes)
+                classes[pos].pop()
+        for pos in range(start, len(classes) + 1):
+            classes.insert(pos, [item])
+            yield from rec(idx + 1, classes)
+            classes.pop(pos)
+
+    yield from rec(0, [list(cls) for cls in classes])
+
+
+def _weak_order_calls():
+    """The arguments of _weak_orders from orbits, refine and the
+    composition rows (X = Inj(2) x Power(1) and Sub(2) x Power(1)), at
+    levels 0-3."""
+    for expr in [power(2), sub(2), inj(2), union(sub(2), power(1))]:
+        for level in range(4):
+            consts = tuple(-i for i in range(1, level + 1))
+            for c in range(expr.n_comps()):
+                yield (consts + tuple(range(expr.slot_count(c))),
+                       expr.separated_groups(c),
+                       (consts,) + expr.sub_groups(c), ())
+            for pat in ctx.orbits(expr, level):
+                new = tuple(-i for i in range(level + 1, 4))
+                yield (new, (), (((-level,) if level else ()) + new,),
+                       pat.classes)
+                top = expr.slot_count(pat.comp)
+                xs = tuple(range(top, top + 3))
+                yield xs, (xs[:2],), (), pat.classes
+                yield xs, (xs[:2],), (xs[:2],), pat.classes
+
+
+def test_weak_orders_match_the_recursion():
+    """The breadth-first builder lists what the recursion lists, in the
+    same order, for separated groups, chains and given classes."""
+    calls = list(_weak_order_calls())
+    assert len(calls) > 100
+    for args in calls:
+        assert _weak_orders(*args) == list(_weak_orders_by_recursion(*args))
+
+
 def test_orbits_do_not_search_slot_symmetries(monkeypatch):
     """Enumeration yields canonical patterns without canonicalising; the
     slot-symmetry search finds the same 14,495 orbits."""

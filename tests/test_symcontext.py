@@ -5,10 +5,10 @@ from math import comb
 
 import pytest
 
-from oligocat.ordercontext import LEGAL_SPECS, OrderContext
+from oligocat.ordercontext import LEGAL_SPECS, OrderContext, _full_line_value
 from oligocat.scalar import Poly, binomial_poly, falling_factorial
-from oligocat.setexpr import (SetExpr, inj, one, perm_group, power, product,
-                              sub, union)
+from oligocat.setexpr import (SetExpr, inj, measure_polynomial, one,
+                              perm_group, power, product, sub, union)
 from oligocat.symcontext import (SymContext, SymPattern, _blocks_key,
                                  _partitions, _sort_blocks)
 
@@ -264,6 +264,54 @@ def test_refine_lists_the_orbits_over_the_pattern(expr):
                 assert set(refined) == over[pat]
 
 
+def _partitions_by_recursion(k, separated, fixed=0):
+    """The depth-first enumerator that _partitions replaced, one recursive
+    call per item: the oracle for its output and its order."""
+    sep_of = [set() for _ in range(k)]
+    for g in separated:
+        for s in g:
+            sep_of[s] = set(g) - {s}
+    out = []
+
+    def rec(slot, blocks):
+        if slot == k:
+            out.append(tuple(tuple(b) for b in blocks))
+            return
+        for b in blocks:
+            if not sep_of[slot] & set(b):
+                b.append(slot)
+                rec(slot + 1, blocks)
+                b.pop()
+        blocks.append([slot])
+        rec(slot + 1, blocks)
+        blocks.pop()
+
+    rec(0, [[] for _ in range(fixed)])
+    return out
+
+
+def _partition_calls():
+    """The arguments of _partitions from orbits, refine (up to level 3)
+    and the composition rows (X with given blocks), at levels 0-3."""
+    for expr in [power(3), sub(2), product(inj(2), power(1)),
+                 product(sub(2), sub(2)), union(sub(3), power(2))]:
+        for c in range(expr.n_comps()):
+            k, seps = expr.slot_count(c), expr.separated_groups(c)
+            for level in range(4):
+                yield k + level, seps + (tuple(range(k, k + level)),), 0
+                yield k, seps, level + 1
+    for new in range(4):
+        for generic in range(4):
+            yield new, (tuple(range(new)),), generic
+
+
+def test_partitions_match_the_recursion():
+    """The breadth-first builder lists what the recursion lists, in the
+    same order, for separated groups and given blocks."""
+    for args in _partition_calls():
+        assert _partitions(*args) == _partitions_by_recursion(*args)
+
+
 def test_sym_backend_builds_no_slot_group(monkeypatch):
     """With perm_group refusing, enumeration, measures, canonical forms and
     composition of the sym backend work on Sub-heavy sets."""
@@ -337,3 +385,47 @@ def test_set_measure_enumerates_no_orbit(monkeypatch):
     monkeypatch.setattr(ordercontext, "_order_orbits", refuse)
     for (backend, expr, level), value in expected.items():
         assert backend.set_measure(expr, level) == value
+
+
+@pytest.mark.parametrize("backend", [ctx, OrderContext()],
+                         ids=["sym", "order"])
+def test_enumeration_past_the_slot_bound_is_refused(backend, monkeypatch):
+    """orbits, refine and composition rows refuse a component of more than
+    MAX_SLOTS slots and constants with ValueError, before anything is
+    enumerated."""
+    from oligocat import ordercontext, symcontext
+    from oligocat.ordercontext import OrderPattern
+
+    def refuse(*args):
+        raise AssertionError("orbits enumerated")
+
+    monkeypatch.setattr(symcontext, "_partitions", refuse)
+    monkeypatch.setattr(ordercontext, "_weak_orders", refuse)
+    # the one orbit of Sub(999) at level 0, built by hand
+    if isinstance(backend, SymContext):
+        big = SymPattern(0, 0, tuple(((i,), None) for i in range(999)))
+        point = SymPattern(0, 0, (((0,), None),))
+    else:
+        big = OrderPattern(0, 0, tuple((i,) for i in range(999)))
+        point = OrderPattern(0, 0, ((0,),))
+    too_many = pytest.raises(ValueError, match="too many to enumerate")
+    with too_many:
+        backend.orbits(product(sub(600), sub(600)), 0)
+    with too_many:
+        backend.orbits(union(one(), sub(999)), 2)
+    with too_many:
+        backend.refine(power(1), point, 1000)
+    with too_many:
+        next(backend.composition_row(sub(999), one(), power(2), 0, big))
+
+
+@pytest.mark.parametrize("spec", LEGAL_SPECS)
+def test_order_product_rule_on_integers_is_the_polynomial_at_mu_r(spec):
+    """The order backend multiplies integers at x = mu(R); the values are
+    those of the polynomial in x evaluated there."""
+    x = _full_line_value(*spec, 1)
+    for expr in MEASURE_SETS + [SetExpr.from_text("Inj(40)*Sub(30)*Power(9)"),
+                                SetExpr.from_text("Sub(300) + Inj(200)")]:
+        value = measure_polynomial(expr)(x)
+        assert measure_polynomial(expr, x) == value
+        assert OrderContext(*spec).set_measure(expr) == Poly.const(value)
