@@ -69,8 +69,7 @@ def identity_morphism(x: PermObject) -> InvariantMatrix:
 def duality_data(x: PermObject):
     """Evaluation and coevaluation of the self-duality: diagonal indicators."""
     ctx, xe = x.ctx, x.expr
-    diag = pushforward(GSetMap.diagonal(xe),
-                       SchwartzFunction.indicator(ctx, xe, 0))
+    diag = identity_morphism(x).entries
     # ev: Vec_{X x X} -> unit: entries on 1 x (X x X) = X x X
     ev = InvariantMatrix(ctx, product(xe, xe), one(), diag)
     # cv: unit -> Vec_{X x X}: entries on (X x X) x 1 = X x X

@@ -9,12 +9,13 @@ set is the empty product; the empty set is the empty union.
 from __future__ import annotations
 
 import re
-from functools import lru_cache, partial
+from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial, prod
 from typing import Iterable, NamedTuple
 
-from .scalar import Poly, binomial_poly, falling_factorial
+from .scalar import Poly
 
 # A factor is (kind, arity) with kind in {"P", "I", "S"}.
 Factor = tuple[str, int]
@@ -133,24 +134,22 @@ class SetExpr:
 
 def measure_polynomial(expr: SetExpr, x: int | None = None):
     """mu(X) as a polynomial in x = mu(Omega), on every backend, or its
-    value at an integer x, computed on integers: a measure is additive,
+    value at an integer x, with no polynomial built: a measure is additive,
     multiplies along products and is unchanged by restriction, so mu(X)
     sums over components the products of x^k, (x)_k, binom(x, k)."""
     if x is None:
-        x, falling, binomial = (Poly.var(), partial(falling_factorial, 0),
-                                binomial_poly)
-    else:
-        def falling(n):
-            return prod(range(x, x - n, -1))
+        x = Poly.var()
 
-        def binomial(n):
-            return falling(n) // factorial(n)
-    total = 0 * x  # a Poly or an int, as x is
+    def falling(n):
+        return prod((x - i for i in range(n)), start=x ** 0)
+
+    total = 0 * x  # a Poly or a number, as x is
     for comp in expr.comps:
         term = x ** 0
         for kind, n in comp:
             term = term * (x ** n if kind == "P" else
-                           falling(n) if kind == "I" else binomial(n))
+                           falling(n) if kind == "I" else
+                           falling(n) * Fraction(1, factorial(n)))
         total = total + term
     return total
 

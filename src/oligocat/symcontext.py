@@ -424,17 +424,21 @@ def _canonical_blocks(sig, subs) -> Blocks:
     def slots_of(fixed, meets):
         return tuple(sorted(fixed + tuple(subs[f][free[f]] for f in meets)))
 
-    out, generic = [], []
+    out, generic = [], Counter()  # generic blocks by (fixed, meets)
     for is_generic, pin, fixed, meets in sig:
         if is_generic:
-            generic.append((fixed, meets))
+            generic[fixed, meets] += 1
             continue
         out.append((slots_of(fixed, meets), pin))
         for f in meets:
             free[f] += 1
     while generic:
-        slots, i = min((slots_of(*b), i) for i, b in enumerate(generic))
-        for f in generic.pop(i)[1]:
+        # distinct signatures never take the same slots, so no tie
+        slots, b = min((slots_of(*b), b) for b in generic)
+        generic[b] -= 1
+        if not generic[b]:
+            del generic[b]
+        for f in b[1]:
             free[f] += 1
         out.append((slots, None))
     return tuple(out)
