@@ -434,11 +434,11 @@ def _canonical_blocks(sig, subs) -> Blocks:
             free[f] += 1
     while generic:
         # distinct signatures never take the same slots, so no tie
-        slots, b = min((slots_of(*b), b) for b in generic)
-        generic[b] -= 1
-        if not generic[b]:
-            del generic[b]
-        for f in b[1]:
+        slots, key = min((slots_of(*k), k) for k in generic)
+        generic[key] -= 1
+        if not generic[key]:
+            del generic[key]
+        for f in key[1]:
             free[f] += 1
         out.append((slots, None))
     return tuple(out)
