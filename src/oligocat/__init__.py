@@ -3,9 +3,8 @@ oligomorphic groups: the infinite symmetric group, the order-preserving
 self-maps of the line, the infinite linear groups at the measure level, and
 Fraisse classes of finite structures."""
 
-from .scalar import (EvalPoint, ParamScalar, Poly, TruncatedSeries,
-                     binomial_poly, binom_of, binomial_series, evaluate,
-                     falling_factorial)
+from .scalar import (EvalPoint, Poly, TruncatedSeries, binomial_poly, binom_of,
+                     binomial_series, evaluate, falling_factorial)
 from .setexpr import SetExpr, empty, inj, one, power, product, sub, union
 from .symcontext import SymContext, SymPattern
 from .ordercontext import (OrderContext, OrderMeasureSpec, OrderPattern,
@@ -17,10 +16,10 @@ from .integration import (GSetMap, SchwartzFunction, change_level, integrate,
 from .matrixalg import (EndAlgebra, InvariantMatrix, char_series, higher_trace,
                         jordan_split, matmul, min_poly, trace, trace_pairing,
                         is_semisimple_end)
-from .category import (FrobeniusData, PermObject, balanced_axioms_report,
-                       categorical_dimension, categorical_trace, dual,
-                       duality_data, frobenius, graph_matrices, hom_basis,
-                       idempotent_decompose, identity_morphism, tensor, zigzag)
+from .category import (FrobeniusData, PermObject, categorical_dimension,
+                       categorical_trace, duality_data, frobenius,
+                       graph_matrices, hom_basis, idempotent_decompose,
+                       identity_morphism, tensor, zigzag)
 from . import fraisse
 
 __all__ = [name for name in dir() if not name.startswith("_")]

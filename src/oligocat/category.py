@@ -25,13 +25,6 @@ class PermObject:
         self.ctx = ctx
         self.expr = expr
 
-    def __eq__(self, other):
-        return (isinstance(other, PermObject) and self.ctx is other.ctx
-                and self.expr == other.expr)
-
-    def __hash__(self):
-        return hash(self.expr)
-
     def __repr__(self):
         return f"PermObject({self.expr.to_text()})"
 
@@ -75,11 +68,6 @@ def duality_data(x: PermObject):
     # cv: unit -> Vec_{X x X}: entries on (X x X) x 1 = X x X
     cv = InvariantMatrix(ctx, one(), product(xe, xe), diag)
     return ev, cv
-
-
-def dual(m: InvariantMatrix) -> InvariantMatrix:
-    """The dual morphism with respect to the self-dualities: the transpose."""
-    return m.transpose()
 
 
 def dual_via_zigzag(m: InvariantMatrix) -> InvariantMatrix:
@@ -357,23 +345,3 @@ def _divisors(n: int):
         d += 1
     return sorted(out) if out else [1]
 
-
-# ---------------------------------------------------------------------------
-# Balanced-functor axiom report
-
-
-def balanced_axioms_report(ctx, transitive_maps, squares, union_parts):
-    """Additivity, base change and mu-adaptedness of f -> (A_f, B_f) over a
-    generated family of structural maps.  Returns (name, ok, witness) rows."""
-    rows = []
-    for f in transitive_maps:
-        ok, c = check_mu_adapted(ctx, f)
-        rows.append((f"mu-adapted {f.source.to_text()} -> {f.target.to_text()}",
-                     ok, f"c = {c.to_text()}"))
-    for sq in squares:
-        rows.append(("base change on projection square",
-                     check_base_change(ctx, sq), ""))
-    for parts in union_parts:
-        rows.append((f"additivity on {' + '.join(p.to_text() for p in parts)}",
-                     check_additivity(ctx, parts), ""))
-    return rows

@@ -78,31 +78,33 @@ class FiniteSet(Structure):
 
 
 class TotalOrder(Structure):
-    """The carrier 0 < 1 < ... < size-1 with its standard order; all total
-    orders of a size are isomorphic, so the structure is just the size."""
+    """A total order on the carrier 0..size-1, given by `order`, the carrier
+    listed smallest first; the default is the standard 0 < 1 < ... < size-1.
+    All total orders of a size are isomorphic."""
 
     kind = "order"
+
+    def __init__(self, size: int, order=None):
+        super().__init__(size)
+        self.order = tuple(range(size)) if order is None else tuple(order)
 
     def iso_key(self):
         return ("order", self.size)
 
     def relabel(self, perm):
-        # relabeling produces the order in which perm is increasing; as a
-        # structure up to the standard carrier, record the inverse sort
-        return TotalOrder(self.size)
+        return TotalOrder(self.size, self.relabel_key(perm))
 
     def relabel_key(self, perm):
-        # the order relation as a set of pairs under the relabeling
-        return frozenset((perm[a], perm[b]) for a in range(self.size)
-                         for b in range(self.size) if a < b)
+        return tuple(perm[v] for v in self.order)
 
     def induced(self, elements):
-        if list(elements) != sorted(elements):
-            raise ValueError("induced total order wants increasing elements")
-        return TotalOrder(len(elements))
+        return TotalOrder(len(elements), sorted(
+            range(len(elements)), key=lambda k: self.order.index(elements[k])))
 
     def __repr__(self):
-        return f"TotalOrder({self.size})"
+        if self.order == tuple(range(self.size)):
+            return f"TotalOrder({self.size})"
+        return f"TotalOrder({self.size}, {self.order})"
 
 
 class Graph(Structure):
@@ -437,8 +439,10 @@ def embeddings(y: Structure, x: Structure) -> list[EmbeddingMap]:
         for m in permutations(range(x.size), y.size):
             out.append(EmbeddingMap(y, x, m))
     elif isinstance(y, TotalOrder):
-        for m in combinations(range(x.size), y.size):
-            out.append(EmbeddingMap(y, x, m))
+        # the k-th least element of y goes to the c_k-th least of x
+        for c in combinations(x.order, y.size):
+            image = dict(zip(y.order, c))
+            out.append(EmbeddingMap(y, x, [image[v] for v in range(y.size)]))
     elif isinstance(y, Graph):
         for m in permutations(range(x.size), y.size):
             if all(y.has_edge(a, b) == x.has_edge(m[a], m[b])
@@ -598,11 +602,12 @@ def _completions(x: Structure, yp: Structure, ip_map, size):
         # elements in ip_map below x.size; each lists the carrier smallest
         # first, and they are sorted by the tuple of positions of the
         # carrier elements 0, 1, ..., the inverse of that listing
-        orders = list(_chain_merges(tuple(range(x.size)), tuple(ip_map),
+        orders = list(_chain_merges(x.order,
+                                    tuple(ip_map[v] for v in yp.order),
                                     set(range(x.size)) & set(ip_map)))
         orders.sort(key=lambda order: sorted(range(size),
                                              key=order.__getitem__))
-        return [_LabeledOrder(size, order) for order in orders]
+        return [TotalOrder(size, order) for order in orders]
 
     if isinstance(x, Graph):
         ip_inv = {carrier: yv for yv, carrier in enumerate(ip_map)}
@@ -658,20 +663,6 @@ def _chain_merges(xs, ys, shared):
     if b and b[0] not in shared:
         for rest in _chain_merges(xs, ys[1:], shared):
             yield b + rest
-
-
-class _LabeledOrder(TotalOrder):
-    """A total order on the glued carrier remembering element positions."""
-
-    def __init__(self, size, order):
-        super().__init__(size)
-        self.order = order  # carrier elements listed smallest first
-
-    def relabel_key(self, perm):
-        return tuple(perm[v] for v in self.order)
-
-    def __repr__(self):
-        return f"_LabeledOrder({self.order})"
 
 
 def _induces(t: BoronTree, mapping, target: Structure) -> bool:

@@ -41,15 +41,6 @@ class QContext:
             out *= self.q_int(i)
         return out
 
-    def q_binom(self, n: int, d: int) -> int:
-        """Number of d-dimensional subspaces of an n-dimensional space."""
-        if not 0 <= d <= n:
-            raise ValueError(f"q_binom needs 0 <= d <= n, got ({n}, {d})")
-        num = self.q_factorial(n)
-        den = self.q_factorial(d) * self.q_factorial(n - d)
-        assert num % den == 0
-        return num // den
-
     # -- the polynomial calculus ----------------------------------------
 
     def omega(self, m: int, d: int) -> Poly:

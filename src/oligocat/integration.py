@@ -20,10 +20,11 @@ class GSetMap:
     Stored in flattened form: each source component is routed to a target
     component together with, for every target factor, the tuple of source
     slots feeding it.  Composites stay in this form and are pushed in a
-    single step.
+    single step.  `feeds[c]` lists, for each target slot of component c's
+    route, the source slot that feeds it (the concatenated slot tuples).
     """
 
-    __slots__ = ("source", "target", "routes")
+    __slots__ = ("source", "target", "routes", "feeds")
 
     def __init__(self, source: SetExpr, target: SetExpr, routes):
         self.source = source
@@ -33,6 +34,8 @@ class GSetMap:
         if len(self.routes) != source.n_comps():
             raise ValueError("every source component needs a route")
         self._validate()
+        self.feeds = tuple(tuple(s for slots in assigns for s in slots)
+                           for _, assigns in self.routes)
 
     def _validate(self):
         for c, (tc, assigns) in enumerate(self.routes):
@@ -173,14 +176,10 @@ class GSetMap:
         if inner.target != self.source:
             raise ValueError("composition type mismatch")
         routes = []
-        for c in range(inner.source.n_comps()):
-            mc, massigns = inner.routes[c]
-            mid_slot_src = []
-            for slots in massigns:
-                mid_slot_src.extend(slots)
+        for (mc, _), mid in zip(inner.routes, inner.feeds):
             tc, tassigns = self.routes[mc]
-            assigns = [tuple(mid_slot_src[s] for s in slots) for slots in tassigns]
-            routes.append((tc, assigns))
+            routes.append((tc, [tuple(mid[s] for s in slots)
+                                for slots in tassigns]))
         return GSetMap(inner.source, self.target, routes)
 
     def graph_map(self) -> "GSetMap":

@@ -87,9 +87,6 @@ class InvariantMatrix:
         return InvariantMatrix(self.ctx, self.domain, self.codomain,
                                self.entries - other.entries)
 
-    def __neg__(self):
-        return InvariantMatrix(self.ctx, self.domain, self.codomain, -self.entries)
-
     def scale(self, c) -> "InvariantMatrix":
         return InvariantMatrix(self.ctx, self.domain, self.codomain,
                                self.entries.scale(c))

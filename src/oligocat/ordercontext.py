@@ -172,7 +172,7 @@ class OrderContext:
         gaps between the pinned ones (a constant or a referenced slot);
         no slot map but the identity fixes a pattern, so nothing is
         divided out."""
-        referenced = {s for slots in mapdata.routes[pat.comp][1] for s in slots}
+        referenced = set(mapdata.feeds[pat.comp])
         return (self.image_orbit(mapdata, pat),
                 Poly.const(_gap_product(self.spec,
                                         _gaps(pat.classes, referenced))))
@@ -180,17 +180,14 @@ class OrderContext:
     def image_orbit(self, mapdata, pat: OrderPattern) -> OrderPattern:
         """Image pattern only (no fiber measure); the pullback workhorse."""
         tgt = mapdata.target
-        tcomp, assigns = mapdata.routes[pat.comp]
+        tcomp = mapdata.routes[pat.comp][0]
         class_of = {}
         for ci, cls in enumerate(pat.classes):
             for item in cls:
                 class_of[item] = ci
         img = {}
-        tslot = 0
-        for slots in assigns:
-            for sslot in slots:
-                img.setdefault(class_of[sslot], []).append(tslot)
-                tslot += 1
+        for tslot, sslot in enumerate(mapdata.feeds[pat.comp]):
+            img.setdefault(class_of[sslot], []).append(tslot)
         for ci, cls in enumerate(pat.classes):
             for item in cls:
                 if item < 0:

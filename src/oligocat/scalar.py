@@ -125,11 +125,6 @@ class Poly:
     def constant(self) -> Fraction:
         return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
-    def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.num):
-            return Fraction(self.num[k], self.den)
-        return Fraction(0)
-
     def __hash__(self):
         return hash((self.num, self.den))
 
@@ -341,8 +336,6 @@ class Poly:
 
 _ZERO = Poly._of((), 1)
 
-ParamScalar = Poly  # the value domain of all measures and traces
-
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]\w*|\^|\+|-|\*|/|\(|\))")
 
@@ -477,13 +470,6 @@ class EvalPoint:
             return f"EvalPoint.rational({self.t0})"
         return f"EvalPoint.modular({self.t0}, {self.p})"
 
-    def __eq__(self, other):
-        return (isinstance(other, EvalPoint)
-                and (self.mode, self.t0, self.p) == (other.mode, other.t0, other.p))
-
-    def __hash__(self):
-        return hash((self.mode, self.t0, self.p))
-
 
 def evaluate(x: Poly, at: EvalPoint):
     """Evaluate a Q[t] value at a point.  Generic mode is the identity;
@@ -560,17 +546,10 @@ class TruncatedSeries:
     def one(order: int = DEFAULT_ORDER) -> "TruncatedSeries":
         return TruncatedSeries(order, [Poly.one()])
 
-    @staticmethod
-    def from_scalar(c, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        return TruncatedSeries(order, [c])
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
 
     def __repr__(self):
         return f"TruncatedSeries({self.to_text()!r})"
@@ -578,23 +557,6 @@ class TruncatedSeries:
     def _check(self, other: "TruncatedSeries"):
         if self.order != other.order:
             raise ValueError(f"series order mismatch: {self.order} vs {other.order}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            other = TruncatedSeries.from_scalar(other, self.order)
-        self._check(other)
-        return TruncatedSeries(self.order,
-                               [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            other = TruncatedSeries.from_scalar(other, self.order)
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -611,14 +573,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.order, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative series power")
-        r = TruncatedSeries.one(self.order)
-        for _ in range(n):
-            r = r * self
-        return r
 
     def to_text(self, var: str = "t") -> str:
         pieces = []

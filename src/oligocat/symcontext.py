@@ -224,7 +224,7 @@ class SymContext:
         ff(N + g_det, g_free) * s_image / s_source.
         """
         image = self.image_orbit(mapdata, pat)
-        used = {s for slots in mapdata.routes[pat.comp][1] for s in slots}
+        used = set(mapdata.feeds[pat.comp])
         # generic source blocks meeting the map are determined by the image
         g_det = sum(1 for slots, pin in pat.blocks
                     if pin is None and used.intersection(slots))
@@ -237,17 +237,14 @@ class SymContext:
     def image_orbit(self, mapdata, pat: SymPattern) -> SymPattern:
         """Image pattern only (no fiber measure); the pullback workhorse."""
         tgt = mapdata.target
-        tcomp, assigns = mapdata.routes[pat.comp]
+        tcomp = mapdata.routes[pat.comp][0]
         block_of = {}
         for i, (slots, _) in enumerate(pat.blocks):
             for s in slots:
                 block_of[s] = i
         tgt_blocks: dict[int, list[int]] = {}
-        tslot = 0
-        for slots in assigns:
-            for sslot in slots:
-                tgt_blocks.setdefault(block_of[sslot], []).append(tslot)
-                tslot += 1
+        for tslot, sslot in enumerate(mapdata.feeds[pat.comp]):
+            tgt_blocks.setdefault(block_of[sslot], []).append(tslot)
         img_blocks = [(tuple(sorted(ts)), pat.blocks[i][1])
                       for i, ts in tgt_blocks.items()]
         return self.canonicalize(tgt, SymPattern(tcomp, pat.level,

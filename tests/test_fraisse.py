@@ -120,27 +120,47 @@ def test_negative_controls():
     # one perturbed entry in each built-in produces a concrete witness
     bad = sets_nu_t().perturbed(FiniteSet(3).iso_key(), Poly.const(99))
     rep = verify_measure("set", bad, 4)
-    assert not rep.ok and rep.failures
+    assert not rep.ok and rep.failures[0][0] == "multiplicativity"
 
     bad = orders_sign().perturbed(TotalOrder(3).iso_key(), Poly.const(2))
     rep = verify_measure("order", bad, 5)
-    assert not rep.ok and rep.failures
+    assert not rep.ok and rep.failures[0][0] == "multiplicativity"
 
     bad = boron_mu().perturbed(all_structures("boron", 5)[0].iso_key(),
                                Fraction(1, 7))
     rep = verify_measure("boron", bad, 6)
-    assert not rep.ok and rep.failures
+    assert not rep.ok and rep.failures[0][0] == "amalgamation"
 
     bad = boron_nu().perturbed(all_structures("boron", 5)[0].iso_key(),
                                Fraction(3))
     rep = verify_measure("boron", bad, 6)
-    assert not rep.ok and rep.failures
+    assert not rep.ok and rep.failures[0][0] == "multiplicativity"
 
     const1 = CandidateMeasure("const-1", "graph",
                               embedding_rule=lambda e: Poly.one(),
                               structure_rule=lambda s: Poly.one())
     rep = verify_measure("graph", const1, 4)
-    assert not rep.ok and rep.failures
+    assert not rep.ok and rep.failures[0][0] == "amalgamation"
+
+
+def test_verify_measure_witnesses(monkeypatch):
+    """The checks that fire before multiplicativity, and the R-measure
+    form of the amalgamation identity, each name their own witness."""
+    two = CandidateMeasure("two", "set", embedding_rule=lambda e: 2)
+    assert verify_measure("set", two, 3).failures \
+        == [("normalization", "FiniteSet(0)")]
+
+    # an R-measure form 2^n that disagrees with sets_nu_t's embedding rule
+    mixed = CandidateMeasure("mixed", "set",
+                             embedding_rule=sets_nu_t().embedding_rule,
+                             structure_rule=lambda s: 2 ** s.size)
+    rep = verify_measure("set", mixed, 3)
+    assert not rep.ok and rep.failures[0][0] == "r-amalgamation"
+
+    monkeypatch.setattr(Graph, "relabel", lambda g, perm: Graph(g.size, []))
+    one = CandidateMeasure("one", "graph", embedding_rule=lambda e: 1)
+    assert verify_measure("graph", one, 3).failures \
+        == [("relabel broke isomorphism", "Graph(2, [(0, 1)])", (0, 1))]
 
 
 def test_rado_invariant():
@@ -171,6 +191,58 @@ def test_s_regular_identity():
     j = EmbeddingMap(FiniteSet(1), FiniteSet(3), (0,))
     lhs, rhs = s_regular_identity(FiniteSet(8), i, j)
     assert lhs == rhs
+    # orders amalgamate and count in an order host; the sides differ, as
+    # the points of 5 lie under unequally many embeddings of 2
+    i = EmbeddingMap(TotalOrder(1), TotalOrder(2), (0,))
+    assert s_regular_identity(TotalOrder(5), i, i) == (100, 150)
+
+
+# host and largest #X + #Y' - #Y of the spans, per class
+AMALGAM_HOSTS = [
+    (FiniteSet(5), 4),
+    (TotalOrder(5), 5),
+    (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)]), 4),
+    (all_structures("boron", 5)[0], 4),
+]
+
+
+def _assert_amalgams_count_pairs(gamma, structures, span):
+    """For each span (i: Y -> X, j: Y -> Y') of the structures with
+    #X + #Y' - #Y <= span, the pairs of embeddings (phi: X -> gamma,
+    psi: Y' -> gamma) with phi i = psi j are counted by the amalgamations W
+    of the span, each |Emb(W, gamma)| times."""
+    from collections import Counter
+    from itertools import product
+
+    def restrictions(e, s):
+        return [tuple(m.mapping[v] for v in e.mapping)
+                for m in embeddings(s, gamma)]
+
+    for y, x, yp in product(structures, repeat=3):
+        if y.size > min(x.size, yp.size) or x.size + yp.size - y.size > span:
+            continue
+        for i in embeddings(y, x):
+            for j in embeddings(y, yp):
+                psi_over = Counter(restrictions(j, yp))
+                pairs = sum(psi_over[r] for r in restrictions(i, x))
+                assert pairs == sum(count_embeddings(am.structure, gamma)
+                                    for am in enumerate_amalgamations(i, j))
+
+
+@pytest.mark.parametrize("gamma, span", AMALGAM_HOSTS,
+                         ids=[g.kind for g, _ in AMALGAM_HOSTS])
+def test_amalgams_count_pairs_in_a_host(gamma, span):
+    _assert_amalgams_count_pairs(
+        gamma, [s for n in range(span + 1)
+                for s in all_structures(gamma.kind, n)], span)
+
+
+def test_listed_orders_amalgamate_along_their_listings():
+    from itertools import permutations
+    _assert_amalgams_count_pairs(
+        TotalOrder(5, (3, 0, 4, 1, 2)),
+        [TotalOrder(n, p) for n in range(4) for p in permutations(range(n))],
+        5)
 
 
 def test_candidate_from_json_table():
@@ -187,7 +259,7 @@ def test_candidate_from_json_table():
     tbl[structure_text(all_structures("boron", 5)[0])] = "1/7"
     bad = candidate_from_table("bad", "boron", tbl)
     rep = verify_measure("boron", bad, 6)
-    assert not rep.ok and rep.failures
+    assert not rep.ok and rep.failures[0][0] == "amalgamation"
     # skeleton keys are canonical and complete
     sk = table_skeleton("graph", 3)
     assert len(sk) == 8
@@ -391,7 +463,6 @@ def test_boron_validation_messages():
 def _old_order_completions(x, yp, ip_map, size):
     """Total-order completions with the tag and dedupe that never fired."""
     from itertools import permutations
-    from oligocat.fraisse import _LabeledOrder
     out = []
     for perm in permutations(range(size)):
         if all(perm[a] < perm[b] for a in range(x.size)
@@ -404,7 +475,7 @@ def _old_order_completions(x, yp, ip_map, size):
     for _, order in out:
         if order not in seen:
             seen.add(order)
-            result.append(_LabeledOrder(size, order))
+            result.append(TotalOrder(size, order))
     return result
 
 

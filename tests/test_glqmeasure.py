@@ -13,13 +13,13 @@ def test_q_integers():
     q2 = QContext(2)
     assert q2.q_int(3) == 7
     assert q2.q_int(0) == 0
-    assert q2.q_binom(4, 2) == 35
-    assert QContext(3).q_binom(5, 0) == 1
+    assert count_subspaces(2, 4, 2) == 35
+    assert count_subspaces(3, 5, 0) == 1
 
 
-def test_q_binom_range_error():
+def test_q_range_errors():
     with pytest.raises(ValueError):
-        QContext(2).q_binom(2, 3)
+        QContext(2).omega(-1, 0)
     with pytest.raises(ValueError):
         QContext(1)
 
