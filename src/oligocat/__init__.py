@@ -7,9 +7,8 @@ from .scalar import (EvalPoint, Poly, TruncatedSeries, binomial_poly, binom_of,
                      binomial_series, evaluate, falling_factorial)
 from .setexpr import SetExpr, empty, inj, one, power, product, sub, union
 from .symcontext import SymContext, SymPattern
-from .ordercontext import (OrderContext, OrderMeasureSpec, OrderPattern,
-                           Symbol, ruffle_product, single_color_symbols,
-                           verify_symbol)
+from .ordercontext import (OrderContext, OrderPattern, Symbol, ruffle_product,
+                           single_color_symbols, verify_symbol)
 from .glqmeasure import QContext, count_subspaces
 from .integration import (GSetMap, SchwartzFunction, change_level, integrate,
                           projection_square, pullback, pushforward)

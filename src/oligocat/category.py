@@ -257,7 +257,8 @@ def idempotent_decompose(x: PermObject, at: EvalPoint):
     spectra; anything else is reported by raising ArithmeticError.
     """
     sp = EndAlgebra(x.ctx, x.expr).specialize(at)
-    idems = [list(sp.ident)]
+    # the zero algebra of the empty object has no primitive idempotent
+    idems = [list(sp.ident)] if sp.dim else []
     for z in sp.center_basis():
         idems = [piece for e in idems for piece in _split_idempotent(sp, e, z)]
     # orthogonality, completeness

@@ -268,6 +268,15 @@ def _load_table_candidate(kind: str, path: str):
          _arg("--max-size", type=nonnegative_int, default=4))
 def _fraisse_cmd(args):
     kind = args.klass.removesuffix("s")
+    only = {"theta": "boron", "rado": "graphs"}.get(args.check)
+    if only is not None and args.klass != only:
+        raise ValueError(f"--check {args.check} needs --class {only}")
+    if args.measure is not None and (args.check, kind, args.table) != (
+            "measure", "boron", None):
+        raise ValueError("--measure picks a built-in boron measure: it needs "
+                         "--class boron --check measure and no --table")
+    if args.table is not None and args.check in ("amalgams", "theta"):
+        raise ValueError(f"--check {args.check} reads no --table")
     if args.check == "measure":
         builtin = {"set": sets_nu_t, "order": orders_sign,
                    "boron": boron_nu if args.measure == "nu" else boron_mu}

@@ -9,6 +9,7 @@ over fibers, so its coefficients live in Q[t].
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, product as cartesian
 
 from .scalar import Poly
 from .setexpr import SetExpr, product
@@ -17,47 +18,37 @@ from .setexpr import SetExpr, product
 class GSetMap:
     """An equivariant structural map between declared sets.
 
-    Stored in flattened form: each source component is routed to a target
-    component together with, for every target factor, the tuple of source
-    slots feeding it.  Composites stay in this form and are pushed in a
-    single step.  `feeds[c]` lists, for each target slot of component c's
-    route, the source slot that feeds it (the concatenated slot tuples).
+    `routes[c] = (tc, feed)` sends source component c to target component
+    tc, and `feed[j]` is the source slot of target slot j.
+    Composites stay in this form and are pushed in a single step.
     """
 
-    __slots__ = ("source", "target", "routes", "feeds")
+    __slots__ = ("source", "target", "routes")
 
     def __init__(self, source: SetExpr, target: SetExpr, routes):
         self.source = source
         self.target = target
-        self.routes = tuple((tc, tuple(tuple(a) for a in assigns))
-                            for tc, assigns in routes)
+        self.routes = tuple((tc, tuple(feed)) for tc, feed in routes)
         if len(self.routes) != source.n_comps():
             raise ValueError("every source component needs a route")
         self._validate()
-        self.feeds = tuple(tuple(s for slots in assigns for s in slots)
-                           for _, assigns in self.routes)
 
     def _validate(self):
-        for c, (tc, assigns) in enumerate(self.routes):
+        for c, (tc, feed) in enumerate(self.routes):
             if not (0 <= tc < self.target.n_comps()):
                 raise ValueError("bad target component")
-            tfactors = self.target.comps[tc]
-            if len(assigns) != len(tfactors):
-                raise ValueError("one slot tuple per target factor required")
+            if len(feed) != self.target.slot_count(tc):
+                raise ValueError("one source slot per target slot required")
             k = self.source.slot_count(c)
-            sep = {}
-            for g in self.source.separated_groups(c):
-                for s in g:
-                    sep[s] = set(g)
-            sub_slots = set()
-            for g in self.source.sub_groups(c):
-                sub_slots.update(g)
+            if any(not (0 <= s < k) for s in feed):
+                raise ValueError("slot id out of range")
+            sep = {s: set(g) for g in self.source.separated_groups(c)
+                   for s in g}
             sub_groups = [set(g) for g in self.source.sub_groups(c)]
-            for (kind, n), slots in zip(tfactors, assigns):
-                if len(slots) != n:
-                    raise ValueError("slot tuple arity mismatch")
-                if any(not (0 <= s < k) for s in slots):
-                    raise ValueError("slot id out of range")
+            sub_slots = set().union(*sub_groups)
+            for (kind, n), tslots in zip(self.target.comps[tc],
+                                         self.target.factor_slots(tc)):
+                slots = [feed[j] for j in tslots]
                 whole_sub = set(slots) in sub_groups
                 if not whole_sub and any(s in sub_slots for s in slots):
                     raise ValueError("slots of a Sub factor are unordered and "
@@ -99,25 +90,15 @@ class GSetMap:
         target = product(*[parts[i] for i in keep])
         sizes = [p.n_comps() for p in parts]
         routes = []
-        for idx in range(source.n_comps()):
-            digits, r = [], idx
-            for s in reversed(sizes):
-                digits.append(r % s)
-                r //= s
-            digits.reverse()
+        for digits in cartesian(*map(range, sizes)):
             tidx = 0
             for i in keep:
                 tidx = tidx * sizes[i] + digits[i]
-            bases, b = [], 0
-            for p, d in zip(parts, digits):
-                bases.append(b)
-                b += p.slot_count(d)
-            assigns = []
-            for i in keep:
-                p, d, base = parts[i], digits[i], bases[i]
-                for slots in p.factor_slots(d):
-                    assigns.append(tuple(base + s for s in slots))
-            routes.append((tidx, assigns))
+            bases = list(accumulate((p.slot_count(d)
+                                     for p, d in zip(parts, digits)),
+                                    initial=0))
+            routes.append((tidx, [s for i in keep
+                                  for s in range(bases[i], bases[i + 1])]))
         return GSetMap(source, target, routes)
 
     @staticmethod
@@ -128,9 +109,9 @@ class GSetMap:
             raise ValueError("coordinates wants a product expression")
         if kind == "P":
             target = SetExpr([tuple(("P", 1) for _ in slots)])
-            return GSetMap(source, target, [(0, [(s,) for s in slots])])
-        target = SetExpr([((kind, len(slots)),)])
-        return GSetMap(source, target, [(0, [tuple(slots)])])
+        else:
+            target = SetExpr([((kind, len(slots)),)])
+        return GSetMap(source, target, [(0, slots)])
 
     @staticmethod
     def diagonal(expr: SetExpr) -> "GSetMap":
@@ -147,7 +128,7 @@ class GSetMap:
             raise ValueError("symmetrization applies to an Inj factor")
         comp[factor] = ("S", comp[factor][1])
         return GSetMap(expr, SetExpr([tuple(comp)]),
-                       [(0, expr.factor_slots(0))])
+                       [(0, range(expr.slot_count(0)))])
 
     @staticmethod
     def inclusion(parts: list[SetExpr], which: int) -> "GSetMap":
@@ -156,10 +137,9 @@ class GSetMap:
         target = union(*parts)
         src = parts[which]
         offset = sum(p.n_comps() for p in parts[:which])
-        routes = []
-        for c in range(src.n_comps()):
-            routes.append((offset + c, list(src.factor_slots(c))))
-        return GSetMap(src, target, routes)
+        return GSetMap(src, target,
+                       [(offset + c, range(src.slot_count(c)))
+                        for c in range(src.n_comps())])
 
     @staticmethod
     def terminal(expr: SetExpr) -> "GSetMap":
@@ -175,24 +155,16 @@ class GSetMap:
         """self after inner, flattened to a single structural map."""
         if inner.target != self.source:
             raise ValueError("composition type mismatch")
-        routes = []
-        for (mc, _), mid in zip(inner.routes, inner.feeds):
-            tc, tassigns = self.routes[mc]
-            routes.append((tc, [tuple(mid[s] for s in slots)
-                                for slots in tassigns]))
+        routes = [(self.routes[mc][0], [mid[s] for s in self.routes[mc][1]])
+                  for mc, mid in inner.routes]
         return GSetMap(inner.source, self.target, routes)
 
     def graph_map(self) -> "GSetMap":
         """x -> (f(x), x), landing in target x source (used for A_f)."""
-        source, target = self.source, self.target
-        graph_target = product(target, source)
-        routes = []
-        for c in range(source.n_comps()):
-            tc, assigns = self.routes[c]
-            gidx = tc * source.n_comps() + c
-            gassigns = list(assigns) + list(source.factor_slots(c))
-            routes.append((gidx, gassigns))
-        return GSetMap(source, graph_target, routes)
+        source, n = self.source, self.source.n_comps()
+        routes = [(tc * n + c, feed + tuple(range(source.slot_count(c))))
+                  for c, (tc, feed) in enumerate(self.routes)]
+        return GSetMap(source, product(self.target, source), routes)
 
 
 # ---------------------------------------------------------------------------

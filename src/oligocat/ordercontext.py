@@ -27,28 +27,9 @@ from .setexpr import SetExpr, check_enumerable, measure_polynomial
 # the i-th pinned constant (so constants sort first within a class).
 Classes = tuple[tuple[int, ...], ...]
 
+# The four measures as (epsilon, delta): the values on left and right
+# interval powers.
 LEGAL_SPECS = ((-1, -1), (-1, 0), (0, -1), (0, 0))
-
-
-class OrderMeasureSpec:
-    """One of the four measures: values on left/right interval powers."""
-
-    __slots__ = ("epsilon", "delta")
-
-    def __init__(self, epsilon: int, delta: int):
-        if (epsilon, delta) not in LEGAL_SPECS:
-            raise ValueError("epsilon and delta must each be -1 or 0")
-        self.epsilon, self.delta = epsilon, delta
-
-    def __eq__(self, other):
-        return (isinstance(other, OrderMeasureSpec)
-                and (self.epsilon, self.delta) == (other.epsilon, other.delta))
-
-    def __hash__(self):
-        return hash((self.epsilon, self.delta))
-
-    def __repr__(self):
-        return f"OrderMeasureSpec({self.epsilon}, {self.delta})"
 
 
 class OrderPattern:
@@ -107,16 +88,18 @@ class OrderContext:
     name = "order"
 
     def __init__(self, epsilon: int = -1, delta: int = -1):
-        self.spec = OrderMeasureSpec(epsilon, delta)
+        if (epsilon, delta) not in LEGAL_SPECS:
+            raise ValueError("epsilon and delta must each be -1 or 0")
+        self.spec = (epsilon, delta)
 
     def __repr__(self):
-        return f"OrderContext({self.spec.epsilon}, {self.spec.delta})"
+        return f"OrderContext{self.spec}"
 
     def __eq__(self, other):
         return isinstance(other, OrderContext) and self.spec == other.spec
 
     def __hash__(self):
-        return hash(("order", self.spec.epsilon, self.spec.delta))
+        return hash(("order", *self.spec))
 
     # -- canonical form -------------------------------------------------
 
@@ -148,7 +131,7 @@ class OrderContext:
         polynomial is built and no orbit is enumerated.
         The level cannot change the value: restriction keeps a measure."""
         return Poly.const(measure_polynomial(
-            expr, _full_line_value(self.spec.epsilon, self.spec.delta, 1)))
+            expr, _full_line_value(*self.spec, 1)))
 
     # -- level refinement ----------------------------------------------
 
@@ -172,7 +155,7 @@ class OrderContext:
         gaps between the pinned ones (a constant or a referenced slot);
         no slot map but the identity fixes a pattern, so nothing is
         divided out."""
-        referenced = set(mapdata.feeds[pat.comp])
+        referenced = set(mapdata.routes[pat.comp][1])
         return (self.image_orbit(mapdata, pat),
                 Poly.const(_gap_product(self.spec,
                                         _gaps(pat.classes, referenced))))
@@ -180,13 +163,13 @@ class OrderContext:
     def image_orbit(self, mapdata, pat: OrderPattern) -> OrderPattern:
         """Image pattern only (no fiber measure); the pullback workhorse."""
         tgt = mapdata.target
-        tcomp = mapdata.routes[pat.comp][0]
+        tcomp, feed = mapdata.routes[pat.comp]
         class_of = {}
         for ci, cls in enumerate(pat.classes):
             for item in cls:
                 class_of[item] = ci
         img = {}
-        for tslot, sslot in enumerate(mapdata.feeds[pat.comp]):
+        for tslot, sslot in enumerate(feed):
             img.setdefault(class_of[sslot], []).append(tslot)
         for ci, cls in enumerate(pat.classes):
             for item in cls:
@@ -273,11 +256,11 @@ def _gaps(classes: Classes, referenced=()) -> list[int]:
     return gaps
 
 
-def _gap_product(spec: OrderMeasureSpec, gaps: list[int]) -> int:
+def _gap_product(spec: tuple[int, int], gaps: list[int]) -> int:
     """Product of the interval-power values over the gaps between pinned
     classes, k classes in each: the split sum on the whole line (one gap),
     epsilon^k left of all pins, delta^k right of them, (-1)^k in between."""
-    e, d = spec.epsilon, spec.delta
+    e, d = spec
     if len(gaps) == 1:
         return _full_line_value(e, d, gaps[0])
     total = e ** gaps[0] * d ** gaps[-1]
@@ -287,7 +270,7 @@ def _gap_product(spec: OrderMeasureSpec, gaps: list[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _row_gap_product(spec: OrderMeasureSpec, gaps: tuple[int, ...]) -> int:
+def _row_gap_product(spec: tuple[int, int], gaps: tuple[int, ...]) -> int:
     """_gap_product on the gaps of a composition row, as a tuple."""
     return _gap_product(spec, gaps)
 

@@ -351,6 +351,13 @@ def _tokenize(s: str):
     return toks
 
 
+# Polynomial text may build no degree above the slot bound of set
+# expressions, and no power whose exponent times the bit length of its base
+# passes _MAX_TEXT_POWER_BITS: past those, parsing alone would run for long.
+_MAX_TEXT_DEGREE = 1000
+_MAX_TEXT_POWER_BITS = 10_000
+
+
 def _parse_poly(s: str, var: str) -> Poly:
     toks = _tokenize(s)
     pos = 0
@@ -366,8 +373,24 @@ def _parse_poly(s: str, var: str) -> Poly:
         pos += 1
         return t
 
+    def check_degree(d: int):
+        if d > _MAX_TEXT_DEGREE:
+            raise ValueError(f"polynomial text builds degree {d}, past "
+                             f"{_MAX_TEXT_DEGREE}")
+
+    def times(a: Poly, b: Poly) -> Poly:
+        check_degree(a.degree() + b.degree())
+        return a * b
+
+    def power(p: Poly, e: int) -> Poly:
+        check_degree(p.degree() * e)
+        bits = e * max(x.bit_length() for x in (*p.num, p.den))
+        if bits > _MAX_TEXT_POWER_BITS:
+            raise ValueError(f"polynomial text builds a power of about {bits} "
+                             f"bits, past {_MAX_TEXT_POWER_BITS}")
+        return p ** e
+
     def parse_sum() -> Poly:
-        nonlocal pos
         acc = parse_term()
         while peek() in ("+", "-"):
             op = take()
@@ -376,13 +399,12 @@ def _parse_poly(s: str, var: str) -> Poly:
         return acc
 
     def parse_term() -> Poly:
-        nonlocal pos
         acc = parse_atom()
         while True:
             nxt = peek()
             if nxt == "*":
                 take()
-                acc = acc * parse_atom()
+                acc = times(acc, parse_atom())
             elif nxt == "/":
                 take()
                 d = take()
@@ -390,27 +412,21 @@ def _parse_poly(s: str, var: str) -> Poly:
                     raise ValueError("denominator must be an integer")
                 acc = acc / int(d)
             elif nxt is not None and (nxt.isdigit() or nxt == var or nxt == "("):
-                acc = acc * parse_atom()  # juxtaposition, e.g. "3t^2"
+                acc = times(acc, parse_atom())  # juxtaposition, e.g. "3t^2"
             else:
                 return acc
 
     def parse_atom() -> Poly:
-        nonlocal pos
-        t = peek()
+        t = take()
         if t == "-":
-            take()
             return -parse_atom()
         if t == "+":
-            take()
             return parse_atom()
         if t == "(":
-            take()
-            inner = parse_sum()
+            p = parse_sum()
             if take() != ")":
                 raise ValueError("unbalanced parentheses")
-            return inner
-        take()
-        if t.isdigit():
+        elif t.isdigit():
             p = Poly.const(int(t))
         elif t == var:
             p = Poly.var()
@@ -421,7 +437,7 @@ def _parse_poly(s: str, var: str) -> Poly:
             e = take()
             if not e.isdigit():
                 raise ValueError("exponent must be an integer")
-            p = p ** int(e)
+            p = power(p, int(e))
         return p
 
     out = parse_sum()

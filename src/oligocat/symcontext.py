@@ -224,7 +224,7 @@ class SymContext:
         ff(N + g_det, g_free) * s_image / s_source.
         """
         image = self.image_orbit(mapdata, pat)
-        used = set(mapdata.feeds[pat.comp])
+        used = set(mapdata.routes[pat.comp][1])
         # generic source blocks meeting the map are determined by the image
         g_det = sum(1 for slots, pin in pat.blocks
                     if pin is None and used.intersection(slots))
@@ -237,13 +237,13 @@ class SymContext:
     def image_orbit(self, mapdata, pat: SymPattern) -> SymPattern:
         """Image pattern only (no fiber measure); the pullback workhorse."""
         tgt = mapdata.target
-        tcomp = mapdata.routes[pat.comp][0]
+        tcomp, feed = mapdata.routes[pat.comp]
         block_of = {}
         for i, (slots, _) in enumerate(pat.blocks):
             for s in slots:
                 block_of[s] = i
         tgt_blocks: dict[int, list[int]] = {}
-        for tslot, sslot in enumerate(mapdata.feeds[pat.comp]):
+        for tslot, sslot in enumerate(feed):
             tgt_blocks.setdefault(block_of[sslot], []).append(tslot)
         img_blocks = [(tuple(sorted(ts)), pat.blocks[i][1])
                       for i, ts in tgt_blocks.items()]

@@ -14,7 +14,7 @@ from oligocat.integration import GSetMap, SchwartzFunction, projection_square
 from oligocat.matrixalg import InvariantMatrix, matmul, trace
 from oligocat.ordercontext import OrderContext
 from oligocat.scalar import EvalPoint, Poly, evaluate
-from oligocat.setexpr import inj, power, product, sub
+from oligocat.setexpr import empty, inj, power, product, sub
 from oligocat.symcontext import SymContext
 
 sym = SymContext()
@@ -198,6 +198,14 @@ def test_idempotent_dimensions_are_categorical_traces(ctx, x, at):
     point = EvalPoint.rational(at)
     for e, dim in idempotent_decompose(PermObject(ctx, x), point):
         assert dim == evaluate(categorical_trace(e), point)
+
+
+@pytest.mark.parametrize("ctx", [sym, order], ids=["sym", "order"])
+def test_empty_object_has_no_idempotents(ctx):
+    """End of the empty object is the zero algebra: it has no primitive
+    idempotent, so the decomposition is empty."""
+    assert idempotent_decompose(PermObject(ctx, empty()),
+                                EvalPoint.rational(3)) == []
 
 
 def test_idempotent_decompose_rejects_non_semisimple():

@@ -294,6 +294,16 @@ SETS_TABLE = ["fraisse", "--class", "sets", "--check", "measure",
                  "graph:2:0-1": 1}],
     ["trace", "--ctx", "sym", "--matrix", "graph:sym:0"],
     ["trace", "--ctx", "order", "--matrix", "graph:sym:0"],
+    SETS_TABLE + [{"set:0": 1, "set:1": "t^1001", "set:2": 1}],
+    ["fraisse", "--class", "sets", "--check", "theta"],
+    ["fraisse", "--class", "sets", "--check", "rado"],
+    ["fraisse", "--class", "orders", "--check", "measure", "--measure", "nu"],
+    SETS_TABLE + [{"set:0": 1, "set:1": "t", "set:2": "t^2 - t"},
+                  "--measure", "nu"],
+    ["fraisse", "--class", "orders", "--check", "amalgams",
+     "--table", "/nonexistent.json"],
+    ["fraisse", "--class", "boron", "--check", "theta",
+     "--table", "/nonexistent.json"],
 ], ids=["glq-context", "missing-table", "negative-level",
         "negative-max-size", "negative-bound", "threads", "verify-ctx",
         "sym-orbit-component", "sym-orbit-slot", "sym-orbit-missing-slot",
@@ -301,7 +311,9 @@ SETS_TABLE = ["fraisse", "--class", "sets", "--check", "measure",
         "order-orbit-repeated-slot", "order-orbit-constant-0",
         "boron-measure", "table-list-value", "table-null-value",
         "table-array", "table-missing-key", "table-float", "table-bool",
-        "rado-polynomial", "sym-graph-sym-0", "order-graph-sym-0"])
+        "rado-polynomial", "sym-graph-sym-0", "order-graph-sym-0",
+        "table-degree-1001", "theta-class", "rado-class", "measure-orders",
+        "measure-table", "amalgams-table", "theta-table"])
 def test_refused_input_exits_2(argv, tmp_path):
     """Refused input exits 2 with no traceback; a non-string argument is a
     JSON table, passed as the path of a file holding it."""

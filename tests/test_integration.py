@@ -104,12 +104,14 @@ def test_fubini_randomized():
 # equal and the push and pull caches keep their keys.
 
 def identity_routes(expr):
-    return [(c, list(expr.factor_slots(c))) for c in range(expr.n_comps())]
+    return [(c, list(range(expr.slot_count(c))))
+            for c in range(expr.n_comps())]
 
 
 def diagonal_routes(expr):
     n = expr.n_comps()
-    return [(c * n + c, list(expr.factor_slots(c)) * 2) for c in range(n)]
+    return [(c * n + c, list(range(expr.slot_count(c))) * 2)
+            for c in range(n)]
 
 
 def swap_routes(a, b):
@@ -117,15 +119,16 @@ def swap_routes(a, b):
     for ia in range(a.n_comps()):
         ka = a.slot_count(ia)
         for ib in range(b.n_comps()):
-            bslots = [tuple(ka + s for s in g) for g in b.factor_slots(ib)]
+            bslots = [ka + s for s in range(b.slot_count(ib))]
             routes.append((ib * a.n_comps() + ia,
-                           bslots + list(a.factor_slots(ia))))
+                           bslots + list(range(ka))))
     return routes
 
 
 def spread(source, target, factor_picks):
     slots = source.factor_slots(0)
-    return GSetMap(source, target, [(0, [slots[i] for i in factor_picks])])
+    return GSetMap(source, target,
+                   [(0, [s for i in factor_picks for s in slots[i]])])
 
 
 def projection(source, keep):
@@ -163,6 +166,23 @@ def test_structural_maps_match_route_builders():
                 == projection(product(*parts), keep))
 
 
+def test_routes_are_flat():
+    """A route is (target component, one source slot per target slot), and
+    each target factor's slice of the feed is checked against its kind."""
+    assert GSetMap.__slots__ == ("source", "target", "routes")
+    f = GSetMap.proj_product([union(power(1), inj(2)), sub(2)], [1, 0])
+    assert f.routes == ((0, (1, 2, 0)), (1, (2, 3, 0, 1)))
+    for feed in ([0, 1, 0],             # one slot short
+                 [0, 1, 0, 2],          # slot out of range
+                 [0, 0, 0, 1]):         # Inj(2) fed twice by one slot
+        with pytest.raises(ValueError):
+            GSetMap(inj(2), product(inj(2), sub(2)), [(0, feed)])
+    with pytest.raises(ValueError, match="whole factor"):
+        GSetMap(sub(2), power(1), [(0, [0])])
+    with pytest.raises(ValueError, match="not guaranteed distinct"):
+        GSetMap(power(2), inj(2), [(0, [0, 1])])
+
+
 def test_push_transitivity():
     for ctx in CONTEXTS:
         f = GSetMap.coordinates(inj(3), [0, 1], kind="I")
@@ -184,7 +204,7 @@ def test_symmetrization_feeding_two_sub_factors(ctx):
     """One Inj(2) slot group feeds both Sub(2) factors, so the map has one
     symmetry, not two: Fubini holds and the map agrees with symmetrizing and
     then taking the diagonal."""
-    f = GSetMap(inj(2), product(sub(2), sub(2)), [(0, [(0, 1), (0, 1)])])
+    f = GSetMap(inj(2), product(sub(2), sub(2)), [(0, [0, 1, 0, 1])])
     phi = SchwartzFunction.indicator(ctx, inj(2), 0)
     pushed = pushforward(f, phi)
     assert integrate(pushed) == integrate(phi)

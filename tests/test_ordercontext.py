@@ -348,18 +348,18 @@ def _fixing(groups, k, classes):
 
 def _symmetrized(f, c):
     """Inj slot groups of the source feeding a Sub target factor."""
-    tc, assigns = f.routes[c]
+    tc, feed = f.routes[c]
     sub_slots = {s for g in f.source.sub_groups(c) for s in g}
-    return {tuple(sorted(slots))
-            for (kind, _), slots in zip(f.target.comps[tc], assigns)
-            if kind == "S" and slots and slots[0] not in sub_slots}
+    return {tuple(sorted(feed[j] for j in tslots))
+            for (kind, _), tslots in zip(f.target.comps[tc],
+                                         f.target.factor_slots(tc))
+            if kind == "S" and tslots and feed[tslots[0]] not in sub_slots}
 
 
 def _composite_symmetrized(outer, inner, c):
     """The symmetrized groups of outer after inner, carried back to the
     source slots of inner."""
-    mc, massigns = inner.routes[c]
-    mid = [s for slots in massigns for s in slots]
+    mc, mid = inner.routes[c]
     return _symmetrized(inner, c) | {tuple(sorted(mid[s] for s in g))
                                      for g in _symmetrized(outer, mc)}
 
@@ -371,7 +371,7 @@ def _fixing_push_coeff(spec_ctx, f, pat, sym_groups):
     k = f.source.slot_count(pat.comp)
     groups = tuple(sorted(sym_groups))
     m_sym = _fixing(groups, k, pat.classes) if groups else 1
-    referenced = {s for slots in f.routes[pat.comp][1] for s in slots}
+    referenced = set(f.routes[pat.comp][1])
     pinned, gaps = [], [0]
     for cls in pat.classes:
         has_pin = any(i < 0 or i in referenced for i in cls)
@@ -396,7 +396,7 @@ def _fixing_push_coeff(spec_ctx, f, pat, sym_groups):
 def _push_cases():
     """Maps with the symmetrized groups GSetMap used to infer or merge."""
     plain = [GSetMap.symmetrization(inj(3)),
-             GSetMap(inj(2), product(sub(2), sub(2)), [(0, [(0, 1), (0, 1)])]),
+             GSetMap(inj(2), product(sub(2), sub(2)), [(0, [0, 1, 0, 1])]),
              GSetMap.proj_product([sub(2), power(1), sub(2)], [1, 2])]
     cases = [(f, lambda c, f=f: _symmetrized(f, c)) for f in plain]
     symm = GSetMap.symmetrization(product(inj(2), power(1)))

@@ -132,6 +132,31 @@ def test_parse_without_spaces():
             Poly.from_text(text)
 
 
+def test_parenthesised_base_takes_a_power():
+    assert Poly.from_text("(t-1)^2") == (t - 1) * (t - 1)
+    assert Poly.from_text("-(t+1)^2") == -(t + 1) * (t + 1)
+    assert Poly.from_text("3(t-1)^2/2") == 3 * (t - 1) * (t - 1) / 2
+    assert Poly.from_text("((2)^3)^2") == Poly.const(64)
+
+
+def test_polynomial_text_is_bounded(monkeypatch):
+    """A power or product past degree 1000, or a power of too many bits, is
+    refused before it is computed."""
+    power = Poly.__pow__
+
+    def bounded(self, n):
+        if n > 1000:
+            raise AssertionError(f"computed a power with exponent {n}")
+        return power(self, n)
+
+    monkeypatch.setattr(Poly, "__pow__", bounded)
+    assert Poly.from_text("t^1000").degree() == 1000
+    for text in ["t^1001", "(t^100)^11", "((2^999)^999)^999", "t^500*t^501",
+                 "t^600 t^600", "2^100000"]:
+        with pytest.raises(ValueError, match="polynomial text builds"):
+            Poly.from_text(text)
+
+
 def test_poly_division_helpers():
     p = (t - 1) * (t - 2) * (t - 2)
     assert p.squarefree_part() == ((t - 1) * (t - 2)).monic()
