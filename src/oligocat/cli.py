@@ -14,10 +14,11 @@ import sys
 from fractions import Fraction
 
 from .category import (PermObject, frobenius, hom_basis, idempotent_decompose)
-from .fraisse import (all_structures, boron_mu, boron_nu, boron_theta_witness,
-                      candidate_from_table, embeddings, orders_sign,
-                      enumerate_amalgamations, rado_invariant_check, sets_nu_t,
-                      structure_text, verify_measure)
+from .fraisse import (KINDS, all_structures, boron_mu, boron_nu,
+                      boron_theta_witness, candidate_from_table, embeddings,
+                      enumerate_amalgamations, orders_sign,
+                      rado_invariant_check, sets_nu_t, structure_text,
+                      verify_measure)
 from .glqmeasure import QContext
 from .integration import GSetMap, SchwartzFunction
 from .matrixalg import InvariantMatrix, char_series, matmul, trace
@@ -265,7 +266,7 @@ def _load_table_candidate(kind: str, path: str):
               help="mu or nu for the boron class"),
          _arg("--table", default=None,
               help="JSON file {canonical form: value} with a candidate"),
-         _arg("--max-size", type=nonnegative_int, default=4))
+         _arg("--max-size", type=nonnegative_int, default=None))
 def _fraisse_cmd(args):
     kind = args.klass.removesuffix("s")
     only = {"theta": "boron", "rado": "graphs"}.get(args.check)
@@ -275,8 +276,15 @@ def _fraisse_cmd(args):
             "measure", "boron", None):
         raise ValueError("--measure picks a built-in boron measure: it needs "
                          "--class boron --check measure and no --table")
-    if args.table is not None and args.check in ("amalgams", "theta"):
-        raise ValueError(f"--check {args.check} reads no --table")
+    if args.check in ("amalgams", "theta"):
+        for option, value in (("--table", args.table),
+                              ("--max-size", args.max_size)):
+            if value is not None:
+                raise ValueError(f"--check {args.check} reads no {option}")
+    size = 4 if args.max_size is None else args.max_size
+    if size > KINDS[kind].max_size:
+        raise ValueError(f"--max-size {size} is above {KINDS[kind].max_size}, "
+                         f"the most that --class {args.klass} can enumerate")
     if args.check == "measure":
         builtin = {"set": sets_nu_t, "order": orders_sign,
                    "boron": boron_nu if args.measure == "nu" else boron_mu}
@@ -287,9 +295,9 @@ def _fraisse_cmd(args):
         else:
             raise ValueError("the graph class has no built-in measure; "
                              "supply a candidate with --table")
-        rep = verify_measure(kind, cand, args.max_size)
+        rep = verify_measure(kind, cand, size)
         return 0 if rep.ok else 1, [
-            f"{rep.name} up to size {args.max_size}: "
+            f"{rep.name} up to size {size}: "
             f"{'pass' if rep.ok else 'FAIL ' + str(rep.failures[:1])} "
             f"({rep.counts})"]
     if args.check == "amalgams":
@@ -316,11 +324,11 @@ def _fraisse_cmd(args):
                                  f"{v.to_text()}, not a number")
             return v.constant()
 
-        rep = rado_invariant_check(value, args.max_size)
+        rep = rado_invariant_check(value, size)
         return 0 if rep.ok else 1, [
             f"graph invariant table: {'pass' if rep.ok else 'FAIL'} "
             f"{rep.failures[:1]} ({rep.counts})"]
-    rep = rado_invariant_check(lambda g: 1, args.max_size)
+    rep = rado_invariant_check(lambda g: 1, size)
     ok = (not rep.ok) and bool(rep.failures)
     return 0 if ok else 1, [
         "constant invariant rejected with witness: "

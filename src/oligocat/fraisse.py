@@ -1,8 +1,30 @@
 """Model-theoretic measures on classes of finite structures.
 
-Four plugin classes (finite sets, total orders, simple graphs, boron trees)
-with embeddings, amalgamation enumeration up to isomorphism, measure-axiom
-verification, embedding counting and regularity checks.
+Each kind of structure (finite sets, total orders, simple graphs, boron
+trees) is a subclass of `Structure`, listed in `KINDS` under its `kind`
+name, and a structure lives on the carrier 0..size-1.  A new kind defines
+
+- `labelled(size)`, every structure of the kind on 0..size-1;
+- `induced(elements)`, the substructure on the given elements, renumbered
+  in the given order;
+- `iso_key()`, equal exactly for isomorphic structures, and
+  `relabel_key(perm)`, equal exactly for equal relabelled structures (it
+  gives `==`, hashing and the automorphisms);
+- `text()`, the canonical text key of measure tables;
+- `max_size`, the largest size that `fraisse --check` accepts for the kind:
+  every check on the kind finishes at it within about ten seconds.
+
+From these the base class gives `relabel`, `restricts_to` (does the
+structure, read along a map, give a target?), the isomorphism-class
+representatives of `all_structures` (the first labelled structure of each
+class), `embedding_maps` (injections filtered by `restricts_to`) and the
+`completions` of a glued carrier that `enumerate_amalgamations` lists
+(labelled structures filtered by `restricts_to` on both sides).  A kind may
+override any of them with a fast path: graphs and boron trees compare edges
+and quartets in `restricts_to`, graphs complete a carrier over its free
+edges, and total orders take one representative per size, the combinations
+of an order as embeddings and the merges of two chains as completions, so
+they need no `labelled` and never list n! labelled orders.
 
 A boron tree is a tree whose internal vertices all have valence three; its
 leaves carry the quaternary relation "the geodesic through the first pair
@@ -23,26 +45,48 @@ from .scalar import Poly, falling_factorial
 
 
 class Structure:
-    """Base class: a finite relational structure with canonical forms."""
+    """Base class: a finite relational structure with canonical forms; the
+    module docstring lists what a kind defines and what it may override."""
 
     kind = "abstract"
 
     def __init__(self, size: int):
         self.size = size
 
-    def iso_key(self):
-        raise NotImplementedError
-
     def relabel(self, perm) -> "Structure":
-        """The isomorphic copy with element i renamed perm[i]."""
-        raise NotImplementedError
+        """The isomorphic copy with element i renamed perm[i]: the structure
+        induced along the inverse permutation."""
+        return self.induced(tuple(sorted(range(self.size),
+                                         key=perm.__getitem__)))
 
-    def induced(self, elements: tuple[int, ...]) -> "Structure":
-        """Substructure on the given elements (in the given order)."""
-        raise NotImplementedError
+    def restricts_to(self, mapping, target: "Structure") -> bool:
+        """Does the substructure on mapping[0], mapping[1], ... give exactly
+        the target?"""
+        return self.induced(tuple(mapping)) == target
 
-    def relabel_key(self, perm):
-        raise NotImplementedError
+    @classmethod
+    def representatives(cls, size: int) -> list["Structure"]:
+        """The first labelled structure of each isomorphism class."""
+        seen, out = set(), []
+        for s in cls.labelled(size):
+            k = s.iso_key()
+            if k not in seen:
+                seen.add(k)
+                out.append(s)
+        return out
+
+    def embedding_maps(self, x: "Structure") -> list[tuple[int, ...]]:
+        """The images of 0..size-1 under the embeddings into x."""
+        return [m for m in permutations(range(x.size), self.size)
+                if x.restricts_to(m, self)]
+
+    def completions(self, yp: "Structure", ip_map, size: int
+                    ) -> list["Structure"]:
+        """All structures on 0..size-1 that give self on 0..self.size-1 and
+        yp along ip_map."""
+        own = range(self.size)
+        return [s for s in self.labelled(size)
+                if s.restricts_to(own, self) and s.restricts_to(ip_map, yp)]
 
     def __eq__(self, other):
         return (type(self) is type(other) and self.size == other.size
@@ -60,18 +104,23 @@ class Structure:
 
 class FiniteSet(Structure):
     kind = "set"
+    max_size = 5
+
+    @classmethod
+    def labelled(cls, size):
+        return [FiniteSet(size)]
 
     def iso_key(self):
         return ("set", self.size)
-
-    def relabel(self, perm):
-        return FiniteSet(self.size)
 
     def relabel_key(self, perm):
         return ()
 
     def induced(self, elements):
         return FiniteSet(len(elements))
+
+    def text(self):
+        return f"set:{self.size}"
 
     def __repr__(self):
         return f"FiniteSet({self.size})"
@@ -83,16 +132,36 @@ class TotalOrder(Structure):
     All total orders of a size are isomorphic."""
 
     kind = "order"
+    max_size = 9
 
     def __init__(self, size: int, order=None):
         super().__init__(size)
         self.order = tuple(range(size)) if order is None else tuple(order)
 
+    @classmethod
+    def representatives(cls, size):
+        return [TotalOrder(size)]
+
+    def embedding_maps(self, x):
+        # the k-th least element of self goes to the c_k-th least of x
+        return [tuple(image[v] for v in range(self.size))
+                for image in (dict(zip(self.order, c))
+                              for c in combinations(x.order, self.size))]
+
+    def completions(self, yp, ip_map, size):
+        # the merges of the two chains, which share the carrier elements in
+        # ip_map below self.size; each lists the carrier smallest first, and
+        # they are sorted by the tuple of positions of the carrier elements
+        # 0, 1, ..., the inverse of that listing
+        orders = list(_chain_merges(self.order,
+                                    tuple(ip_map[v] for v in yp.order),
+                                    set(range(self.size)) & set(ip_map)))
+        orders.sort(key=lambda order: sorted(range(size),
+                                             key=order.__getitem__))
+        return [TotalOrder(size, order) for order in orders]
+
     def iso_key(self):
         return ("order", self.size)
-
-    def relabel(self, perm):
-        return TotalOrder(self.size, self.relabel_key(perm))
 
     def relabel_key(self, perm):
         return tuple(perm[v] for v in self.order)
@@ -101,14 +170,37 @@ class TotalOrder(Structure):
         return TotalOrder(len(elements), sorted(
             range(len(elements)), key=lambda k: self.order.index(elements[k])))
 
+    def text(self):
+        return f"order:{self.size}"
+
     def __repr__(self):
         if self.order == tuple(range(self.size)):
             return f"TotalOrder({self.size})"
         return f"TotalOrder({self.size}, {self.order})"
 
 
+def _chain_merges(xs, ys, shared):
+    """The total orders on the union of two chains that extend both.  A
+    shared element comes next only when it heads both chains."""
+    if not xs and not ys:
+        yield ()
+        return
+    a, b = xs[:1], ys[:1]
+    if a and a == b:
+        for rest in _chain_merges(xs[1:], ys[1:], shared):
+            yield a + rest
+        return
+    if a and a[0] not in shared:
+        for rest in _chain_merges(xs[1:], ys, shared):
+            yield a + rest
+    if b and b[0] not in shared:
+        for rest in _chain_merges(xs, ys[1:], shared):
+            yield b + rest
+
+
 class Graph(Structure):
     kind = "graph"
+    max_size = 5
 
     def __init__(self, size: int, edges):
         super().__init__(size)
@@ -118,13 +210,41 @@ class Graph(Structure):
                 raise ValueError(f"bad edge {set(e)}")
         self.edges = es
 
+    @classmethod
+    def labelled(cls, size):
+        pairs = list(combinations(range(size), 2))
+        return (Graph(size, [p for p, b in zip(pairs, bits) if b])
+                for bits in iproduct((0, 1), repeat=len(pairs)))
+
+    def restricts_to(self, mapping, target):
+        return all(target.has_edge(a, b)
+                   == self.has_edge(mapping[a], mapping[b])
+                   for a, b in combinations(range(target.size), 2))
+
+    def completions(self, yp, ip_map, size):
+        # the pairs inside self or inside the image of yp are forced, the
+        # others free
+        ip_inv = {carrier: yv for yv, carrier in enumerate(ip_map)}
+        forced, free = [], []
+        for a, b in combinations(range(size), 2):
+            in_x = a < self.size and b < self.size
+            ya, yb = ip_inv.get(a), ip_inv.get(b)
+            in_y = ya is not None and yb is not None
+            if in_x and in_y and self.has_edge(a, b) != yp.has_edge(ya, yb):
+                return []  # inconsistent identification
+            if in_x:
+                if self.has_edge(a, b):
+                    forced.append((a, b))
+            elif in_y:
+                if yp.has_edge(ya, yb):
+                    forced.append((a, b))
+            else:
+                free.append((a, b))
+        return [Graph(size, forced + [p for p, b in zip(free, bits) if b])
+                for bits in iproduct((0, 1), repeat=len(free))]
+
     def iso_key(self):
         return ("graph", self.size, _graph_canon(self.size, self.edges))
-
-    def relabel(self, perm):
-        return Graph(self.size,
-                     [frozenset((perm[a], perm[b])) for a, b in
-                      (tuple(e) for e in self.edges)])
 
     def relabel_key(self, perm):
         return frozenset(frozenset((perm[a], perm[b]))
@@ -140,19 +260,19 @@ class Graph(Structure):
     def has_edge(self, a, b):
         return frozenset((a, b)) in self.edges
 
+    def text(self):
+        body = ",".join(f"{a}-{b}" for a, b in
+                        _graph_canon(self.size, self.edges))
+        return f"graph:{self.size}:{body}"
+
     def __repr__(self):
         return f"Graph({self.size}, {sorted(tuple(sorted(e)) for e in self.edges)})"
 
 
 @lru_cache(maxsize=None)
 def _graph_canon_cached(size, edges):
-    best = None
-    for p in permutations(range(size)):
-        key = frozenset(frozenset((p[a], p[b])) for a, b in edges)
-        enc = tuple(sorted(tuple(sorted(e)) for e in key))
-        if best is None or enc < best:
-            best = enc
-    return best
+    return min(tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in edges))
+               for p in permutations(range(size)))
 
 
 def _graph_canon(size, edges):
@@ -165,12 +285,13 @@ class BoronTree(Structure):
     vertices size..  Internal vertices must have valence exactly three."""
 
     kind = "boron"
+    max_size = 7
 
     def __init__(self, size: int, edges):
         super().__init__(size)
         self.edges = frozenset(frozenset(e) for e in edges)
         self._adj = None
-        self._paths = None
+        self._paths = {}
         self._validate()
 
     def _validate(self):
@@ -197,6 +318,10 @@ class BoronTree(Structure):
         if len(adj) - n != n - 2:
             raise ValueError("wrong number of internal vertices")
 
+    @classmethod
+    def labelled(cls, size):
+        return labeled_boron_trees(size)
+
     def adj(self):
         if self._adj is None:
             a = {}
@@ -211,44 +336,27 @@ class BoronTree(Structure):
         return self._adj
 
     def _path(self, a, b):
-        if self._paths is None:
-            self._paths = {}
+        """The vertices of the geodesic from a to b."""
         key = (a, b) if a <= b else (b, a)
         hit = self._paths.get(key)
-        if hit is not None:
-            return hit
-        if a == b:
-            out = frozenset((a,))
-            self._paths[key] = out
-            return out
-        adj = self.adj()
-        prev = {a: None}
-        stack = [a]
-        found = None
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in prev:
-                    prev[w] = v
-                    if w == b:
-                        found = w
-                        stack = []
-                        break
-                    stack.append(w)
-        if found is None:
-            raise RuntimeError("disconnected tree")
-        out = set()
-        w = found
-        while w is not None:
-            out.add(w)
-            w = prev[w]
-        out = frozenset(out)
-        self._paths[key] = out
-        return out
+        if hit is None:
+            adj, prev, stack = self.adj(), {a: None}, [a]
+            while b not in prev:
+                v = stack.pop()
+                for w in adj[v]:
+                    if w not in prev:
+                        prev[w] = v
+                        stack.append(w)
+            hit, w = set(), b
+            while w is not None:
+                hit.add(w)
+                w = prev[w]
+            hit = self._paths[key] = frozenset(hit)
+        return hit
 
     def relation(self, w, x, y, z) -> bool:
         """True when the geodesic through w,x meets the one through y,z."""
-        return bool(self._path(w, x) & self._path(y, z))
+        return not self._path(w, x).isdisjoint(self._path(y, z))
 
     def relabel_key(self, perm):
         inv = {perm[v]: v for v in range(self.size)}
@@ -263,14 +371,17 @@ class BoronTree(Structure):
     def iso_key(self):
         return ("boron", self.size, _tree_canon(self))
 
-    def relabel(self, perm):
-        n = self.size
-        verts = {v for e in self.edges for v in e} | set(range(n))
-        full = dict(enumerate(perm))
-        for v in sorted(verts - set(range(n))):
-            full[v] = v
-        return BoronTree(n, [frozenset((full[a], full[b]))
-                             for a, b in (tuple(e) for e in self.edges)])
+    def restricts_to(self, mapping, target):
+        """Compares the quartet relations, so builds no Steiner tree."""
+        for w, a, b, c in combinations(range(target.size), 4):
+            mw, ma, mb, mc = mapping[w], mapping[a], mapping[b], mapping[c]
+            if (target.relation(w, a, b, c) != self.relation(mw, ma, mb, mc)
+                    or target.relation(w, b, a, c)
+                    != self.relation(mw, mb, ma, mc)
+                    or target.relation(w, c, a, b)
+                    != self.relation(mw, mc, ma, mb)):
+                return False
+        return True
 
     def induced(self, elements):
         """Sub-boron-tree on a leaf subset: Steiner tree + suppression of
@@ -284,6 +395,9 @@ class BoronTree(Structure):
             verts |= self._path(a, b)
         adj = self.adj()
         return _boron_from_adjacency({v: adj[v] & verts for v in verts}, keep)
+
+    def text(self):
+        return f"boron:{_tree_canon(self)}"
 
     def __repr__(self):
         return (f"BoronTree({self.size}, "
@@ -386,6 +500,9 @@ def _tree_canon(t: BoronTree):
     return "E[" + ",".join(sorted([canon(a, b), canon(b, a)])) + "]"
 
 
+KINDS = {cls.kind: cls for cls in (FiniteSet, TotalOrder, Graph, BoronTree)}
+
+
 # ---------------------------------------------------------------------------
 # Embeddings
 
@@ -432,30 +549,10 @@ def embeddings(y: Structure, x: Structure) -> list[EmbeddingMap]:
     if type(y) is not type(x):
         raise TypeError("embeddings need structures of one plugin kind")
     hit = _emb_cache.get((y, x))
-    if hit is not None:
-        return hit
-    out = []
-    if isinstance(y, FiniteSet):
-        for m in permutations(range(x.size), y.size):
-            out.append(EmbeddingMap(y, x, m))
-    elif isinstance(y, TotalOrder):
-        # the k-th least element of y goes to the c_k-th least of x
-        for c in combinations(x.order, y.size):
-            image = dict(zip(y.order, c))
-            out.append(EmbeddingMap(y, x, [image[v] for v in range(y.size)]))
-    elif isinstance(y, Graph):
-        for m in permutations(range(x.size), y.size):
-            if all(y.has_edge(a, b) == x.has_edge(m[a], m[b])
-                   for a, b in combinations(range(y.size), 2)):
-                out.append(EmbeddingMap(y, x, m))
-    elif isinstance(y, BoronTree):
-        for m in permutations(range(x.size), y.size):
-            if _induces(x, m, y):
-                out.append(EmbeddingMap(y, x, m))
-    else:
-        raise TypeError(f"unknown structure {y!r}")
-    _emb_cache[(y, x)] = out
-    return out
+    if hit is None:
+        hit = _emb_cache[(y, x)] = [EmbeddingMap(y, x, m)
+                                    for m in y.embedding_maps(x)]
+    return hit
 
 
 def count_embeddings(y: Structure, gamma: Structure) -> int:
@@ -463,44 +560,24 @@ def count_embeddings(y: Structure, gamma: Structure) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Structure enumeration per plugin
+# Structure enumeration per kind
 
 
 def all_structures(kind: str, size: int) -> list[Structure]:
     """Isomorphism-class representatives of the given size."""
-    if kind == "set":
-        return [FiniteSet(size)]
-    if kind == "order":
-        return [TotalOrder(size)]
-    if kind == "graph":
-        pairs = list(combinations(range(size), 2))
-        labeled = (Graph(size, [frozenset(p) for p, b in zip(pairs, bits) if b])
-                   for bits in iproduct((0, 1), repeat=len(pairs)))
-    elif kind == "boron":
-        labeled = labeled_boron_trees(size)
-    else:
+    if kind not in KINDS:
         raise ValueError(f"unknown plugin kind {kind!r}")
-    seen, out = set(), []
-    for s in labeled:
-        k = s.iso_key()
-        if k not in seen:
-            seen.add(k)
-            out.append(s)
-    return out
+    return KINDS[kind].representatives(size)
 
 
 @lru_cache(maxsize=None)
 def labeled_boron_trees(n: int) -> tuple[BoronTree, ...]:
     """All boron trees on the labeled leaf set 0..n-1, built by attaching
-    leaf n-1 to every edge (or making the first nontrivial shapes directly)."""
-    if n == 0:
-        return (BoronTree(0, []),)
-    if n == 1:
-        return (BoronTree(1, []),)
+    leaf n-1 to every edge (the trees on at most two leaves directly)."""
+    if n <= 1:
+        return (BoronTree(n, []),)
     if n == 2:
         return (BoronTree(2, [(0, 1)]),)
-    if n == 3:
-        return (BoronTree(3, [(0, 3), (1, 3), (2, 3)]),)
     out = []
     for t in labeled_boron_trees(n - 1):
         # relabel internal vertices to start at n (one more leaf now)
@@ -508,7 +585,7 @@ def labeled_boron_trees(n: int) -> tuple[BoronTree, ...]:
                  for e in t.edges for v in e}
         edges = [tuple(shift[v] for v in e) for e in t.edges]
         verts = {v for e in edges for v in e}
-        fresh = max(verts) + 1 if verts else n
+        fresh = max(verts | {n - 1}) + 1
         for a, b in list(edges):
             # subdivide edge (a,b) with a new boron and hang leaf n-1 on it
             new_edges = [e for e in edges if set(e) != {a, b}]
@@ -581,106 +658,9 @@ def _amalgams_for_matching(i, j, ident):
             ip_map[v] = nxt
             nxt += 1
     size = nxt
-    out = []
-    for structure in _completions(x, yp, ip_map, size):
-        if structure is None:
-            continue
-        ip = EmbeddingMap(yp, structure, ip_map)
-        jp = EmbeddingMap(x, structure, jp_map)
-        out.append(Amalgam(structure, ip, jp))
-    return out
-
-
-def _completions(x: Structure, yp: Structure, ip_map, size):
-    """All structures on the glued carrier inducing x on 0..x.size-1 and yp
-    along ip_map."""
-    if isinstance(x, FiniteSet):
-        return [FiniteSet(size)]
-
-    if isinstance(x, TotalOrder):
-        # the merges of x's chain and yp's chain, which share the carrier
-        # elements in ip_map below x.size; each lists the carrier smallest
-        # first, and they are sorted by the tuple of positions of the
-        # carrier elements 0, 1, ..., the inverse of that listing
-        orders = list(_chain_merges(x.order,
-                                    tuple(ip_map[v] for v in yp.order),
-                                    set(range(x.size)) & set(ip_map)))
-        orders.sort(key=lambda order: sorted(range(size),
-                                             key=order.__getitem__))
-        return [TotalOrder(size, order) for order in orders]
-
-    if isinstance(x, Graph):
-        ip_inv = {carrier: yv for yv, carrier in enumerate(ip_map)}
-        forced, free = {}, []
-        for a, b in combinations(range(size), 2):
-            in_x = a < x.size and b < x.size
-            ya, yb = ip_inv.get(a), ip_inv.get(b)
-            in_y = ya is not None and yb is not None
-            if in_x and in_y:
-                if x.has_edge(a, b) != yp.has_edge(ya, yb):
-                    return []  # inconsistent identification
-                forced[(a, b)] = x.has_edge(a, b)
-            elif in_x:
-                forced[(a, b)] = x.has_edge(a, b)
-            elif in_y:
-                forced[(a, b)] = yp.has_edge(ya, yb)
-            else:
-                free.append((a, b))
-        out = []
-        for bits in iproduct((0, 1), repeat=len(free)):
-            edges = [frozenset(p) for p, v in forced.items() if v]
-            edges += [frozenset(p) for p, b in zip(free, bits) if b]
-            out.append(Graph(size, edges))
-        return out
-
-    if isinstance(x, BoronTree):
-        out = []
-        for t in labeled_boron_trees(size):
-            if not _induces(t, list(range(x.size)), x):
-                continue
-            if not _induces(t, ip_map, yp):
-                continue
-            out.append(t)
-        return out
-
-    raise TypeError(f"unknown structure {x!r}")
-
-
-def _chain_merges(xs, ys, shared):
-    """The total orders on the union of two chains that extend both.  A
-    shared element comes next only when it heads both chains."""
-    if not xs and not ys:
-        yield ()
-        return
-    a, b = xs[:1], ys[:1]
-    if a and a == b:
-        for rest in _chain_merges(xs[1:], ys[1:], shared):
-            yield a + rest
-        return
-    if a and a[0] not in shared:
-        for rest in _chain_merges(xs[1:], ys, shared):
-            yield a + rest
-    if b and b[0] not in shared:
-        for rest in _chain_merges(xs, ys[1:], shared):
-            yield b + rest
-
-
-def _induces(t: BoronTree, mapping, target: Structure) -> bool:
-    """Does t restricted along mapping give exactly the target structure?"""
-    if target.size <= 3:
-        return True
-    for quad in combinations(range(target.size), 4):
-        w, a, b, c = quad
-        if (target.relation(w, a, b, c)
-                != t.relation(mapping[w], mapping[a], mapping[b], mapping[c])):
-            return False
-        if (target.relation(w, b, a, c)
-                != t.relation(mapping[w], mapping[b], mapping[a], mapping[c])):
-            return False
-        if (target.relation(w, c, a, b)
-                != t.relation(mapping[w], mapping[c], mapping[a], mapping[b])):
-            return False
-    return True
+    return [Amalgam(structure, EmbeddingMap(yp, structure, ip_map),
+                    EmbeddingMap(x, structure, jp_map))
+            for structure in x.completions(yp, ip_map, size)]
 
 
 # ---------------------------------------------------------------------------
@@ -810,17 +790,7 @@ def _has_bad_vertex(tp: BoronTree, missing) -> bool:
 
 def structure_text(s: Structure) -> str:
     """Canonical, isomorphism-invariant text key for a structure."""
-    if isinstance(s, FiniteSet):
-        return f"set:{s.size}"
-    if isinstance(s, TotalOrder):
-        return f"order:{s.size}"
-    if isinstance(s, Graph):
-        edges = _graph_canon(s.size, s.edges)
-        body = ",".join(f"{a}-{b}" for a, b in edges)
-        return f"graph:{s.size}:{body}"
-    if isinstance(s, BoronTree):
-        return f"boron:{_tree_canon(s)}"
-    raise TypeError(f"unknown structure {s!r}")
+    return s.text()
 
 
 def candidate_from_table(name: str, kind: str, table) -> CandidateMeasure:

@@ -208,12 +208,25 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """By J. C. P. Miller's recurrence: with t^m taken out so that
+        a[0] != 0, the numerators c of a^n satisfy k a[0] c[k] = sum_i
+        ((n + 1) i - k) a[i] c[k - i], a sum of at most deg(a) products of a
+        short and a long integer; squaring would multiply long polynomials."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        r = Poly.one()
-        for _ in range(n):
-            r = r * self
-        return r
+        if n == 0:
+            return Poly.one()
+        if not self.num:
+            return _ZERO
+        m = next(i for i, x in enumerate(self.num) if x)
+        a = self.num[m:]
+        d, a0 = len(a) - 1, a[0]
+        c = [a0 ** n]
+        for k in range(1, n * d + 1):
+            c.append(sum(((n + 1) * i - k) * a[i] * c[k - i]
+                         for i in range(1, min(d, k) + 1)) // (k * a0))
+        # canonical: a prime of den divides not all of num, so of num^n
+        return Poly._of((0,) * (m * n) + tuple(c), self.den ** n)
 
     def __truediv__(self, c):
         c = _frac(c)

@@ -304,6 +304,9 @@ SETS_TABLE = ["fraisse", "--class", "sets", "--check", "measure",
      "--table", "/nonexistent.json"],
     ["fraisse", "--class", "boron", "--check", "theta",
      "--table", "/nonexistent.json"],
+    ["fraisse", "--class", "boron", "--check", "theta", "--max-size", "0"],
+    ["fraisse", "--class", "orders", "--check", "amalgams",
+     "--max-size", "0"],
 ], ids=["glq-context", "missing-table", "negative-level",
         "negative-max-size", "negative-bound", "threads", "verify-ctx",
         "sym-orbit-component", "sym-orbit-slot", "sym-orbit-missing-slot",
@@ -313,7 +316,8 @@ SETS_TABLE = ["fraisse", "--class", "sets", "--check", "measure",
         "table-array", "table-missing-key", "table-float", "table-bool",
         "rado-polynomial", "sym-graph-sym-0", "order-graph-sym-0",
         "table-degree-1001", "theta-class", "rado-class", "measure-orders",
-        "measure-table", "amalgams-table", "theta-table"])
+        "measure-table", "amalgams-table", "theta-table", "theta-max-size",
+        "amalgams-max-size"])
 def test_refused_input_exits_2(argv, tmp_path):
     """Refused input exits 2 with no traceback; a non-string argument is a
     JSON table, passed as the path of a file holding it."""
@@ -325,6 +329,31 @@ def test_refused_input_exits_2(argv, tmp_path):
                                for a in argv))
     assert code == 2 and out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("klass, check", [
+    ("sets", "measure"), ("orders", "measure"), ("boron", "measure"),
+    ("graphs", "measure"), ("graphs", "rado")])
+def test_max_size_above_the_ceiling_is_refused_first(klass, check, tmp_path,
+                                                    monkeypatch, capsys):
+    """A --max-size above the class's max_size exits 2 before anything is
+    enumerated; at the ceiling the check starts enumerating."""
+    from oligocat import fraisse
+
+    def enumerating(kind, size):
+        raise AssertionError(f"enumerated {kind} structures of size {size}")
+
+    monkeypatch.setattr(fraisse, "all_structures", enumerating)
+    table = tmp_path / "table.json"
+    table.write_text("{}")
+    ceiling = fraisse.KINDS[klass.removesuffix("s")].max_size
+    argv = ["fraisse", "--class", klass, "--check", check]
+    if klass == "graphs":
+        argv += ["--table", str(table)]
+    assert cli.main(argv + ["--max-size", str(ceiling + 1)]) == 2
+    assert "--max-size" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="enumerated"):
+        cli.main(argv + ["--max-size", str(ceiling)])
 
 
 @pytest.mark.parametrize("case", GOLDEN,

@@ -9,7 +9,8 @@ from oligocat.fraisse import (BoronTree, CandidateMeasure, EmbeddingMap,
                               check_S_regular, count_embeddings, embeddings,
                               enumerate_amalgamations, labeled_boron_trees,
                               orders_sign, rado_invariant_check,
-                              s_regular_identity, sets_nu_t, verify_measure)
+                              s_regular_identity, sets_nu_t, structure_text,
+                              verify_measure)
 from oligocat.scalar import Poly
 
 
@@ -503,7 +504,7 @@ def test_order_completions_match_deduplicating_path(monkeypatch):
                 for i, j in spans]
 
     new = listing()
-    monkeypatch.setattr(fraisse, "_completions", _old_order_completions)
+    monkeypatch.setattr(TotalOrder, "completions", _old_order_completions)
     assert listing() == new
 
 
@@ -531,3 +532,139 @@ def test_all_structures_matches_per_kind_loops():
         for n in range(top + 1):
             assert ([repr(s) for s in all_structures(kind, n)]
                     == [repr(s) for s in _old_all_structures(kind, n)])
+
+
+def _old_induces(t, mapping, target):
+    """The boron quartet check, as it stood beside the per-kind bodies."""
+    from itertools import combinations
+    if target.size <= 3:
+        return True
+    for quad in combinations(range(target.size), 4):
+        w, a, b, c = quad
+        if (target.relation(w, a, b, c)
+                != t.relation(mapping[w], mapping[a], mapping[b], mapping[c])):
+            return False
+        if (target.relation(w, b, a, c)
+                != t.relation(mapping[w], mapping[b], mapping[a], mapping[c])):
+            return False
+        if (target.relation(w, c, a, b)
+                != t.relation(mapping[w], mapping[c], mapping[a], mapping[b])):
+            return False
+    return True
+
+
+def _old_embeddings(y, x):
+    """The embedding images, one branch per kind, as embeddings had them."""
+    from itertools import combinations, permutations
+    out = []
+    if isinstance(y, FiniteSet):
+        for m in permutations(range(x.size), y.size):
+            out.append(m)
+    elif isinstance(y, TotalOrder):
+        for c in combinations(x.order, y.size):
+            image = dict(zip(y.order, c))
+            out.append(tuple(image[v] for v in range(y.size)))
+    elif isinstance(y, Graph):
+        for m in permutations(range(x.size), y.size):
+            if all(y.has_edge(a, b) == x.has_edge(m[a], m[b])
+                   for a, b in combinations(range(y.size), 2)):
+                out.append(m)
+    elif isinstance(y, BoronTree):
+        for m in permutations(range(x.size), y.size):
+            if _old_induces(x, m, y):
+                out.append(m)
+    return out
+
+
+def _old_completions(x, yp, ip_map, size):
+    """The structures on a glued carrier, one branch per kind, as
+    _completions had them."""
+    from itertools import combinations, product
+    from oligocat.fraisse import _chain_merges
+    if isinstance(x, FiniteSet):
+        return [FiniteSet(size)]
+    if isinstance(x, TotalOrder):
+        orders = list(_chain_merges(x.order,
+                                    tuple(ip_map[v] for v in yp.order),
+                                    set(range(x.size)) & set(ip_map)))
+        orders.sort(key=lambda order: sorted(range(size),
+                                             key=order.__getitem__))
+        return [TotalOrder(size, order) for order in orders]
+    if isinstance(x, Graph):
+        ip_inv = {carrier: yv for yv, carrier in enumerate(ip_map)}
+        forced, free = {}, []
+        for a, b in combinations(range(size), 2):
+            in_x = a < x.size and b < x.size
+            ya, yb = ip_inv.get(a), ip_inv.get(b)
+            in_y = ya is not None and yb is not None
+            if in_x and in_y:
+                if x.has_edge(a, b) != yp.has_edge(ya, yb):
+                    return []
+                forced[(a, b)] = x.has_edge(a, b)
+            elif in_x:
+                forced[(a, b)] = x.has_edge(a, b)
+            elif in_y:
+                forced[(a, b)] = yp.has_edge(ya, yb)
+            else:
+                free.append((a, b))
+        out = []
+        for bits in product((0, 1), repeat=len(free)):
+            edges = [frozenset(p) for p, v in forced.items() if v]
+            edges += [frozenset(p) for p, b in zip(free, bits) if b]
+            out.append(Graph(size, edges))
+        return out
+    return [t for t in labeled_boron_trees(size)
+            if _old_induces(t, list(range(x.size)), x)
+            and _old_induces(t, ip_map, yp)]
+
+
+def _old_structure_text(s):
+    """The text keys, one branch per kind, as structure_text had them."""
+    from oligocat.fraisse import _graph_canon, _tree_canon
+    if isinstance(s, FiniteSet):
+        return f"set:{s.size}"
+    if isinstance(s, TotalOrder):
+        return f"order:{s.size}"
+    if isinstance(s, Graph):
+        edges = _graph_canon(s.size, s.edges)
+        body = ",".join(f"{a}-{b}" for a, b in edges)
+        return f"graph:{s.size}:{body}"
+    return f"boron:{_tree_canon(s)}"
+
+
+# per kind: the largest structures whose text keys and embeddings the
+# oracles compare, and the largest glued carrier of the spans whose amalgams
+# they compare.  The spans are those of the verify_measure tests above, whose
+# caches they share.  At sets 5, orders 6, graphs 5 and boron 7 for both the
+# oracles agree as well, but take about 19 s, four times this whole file.
+ORACLE_SIZES = [("set", 5, 4), ("order", 6, 6), ("graph", 4, 4),
+                ("boron", 6, 6)]
+
+
+def _structures(kind, top):
+    return [s for n in range(top + 1) for s in all_structures(kind, n)]
+
+
+@pytest.mark.parametrize("kind, top, carrier", ORACLE_SIZES)
+def test_generic_paths_match_per_kind_bodies(kind, top, carrier,
+                                             monkeypatch):
+    """Text keys, embeddings between every pair of structures, and the
+    amalgams of every span that verify_measure checks agree, in order, with
+    the per-kind bodies they replaced."""
+    from oligocat import fraisse
+    structures = _structures(kind, top)
+    for s in structures:
+        assert structure_text(s) == _old_structure_text(s)
+    for y in structures:
+        for x in structures:
+            if y.size <= x.size:
+                assert ([e.mapping for e in embeddings(y, x)]
+                        == _old_embeddings(y, x))
+    spans = fraisse._span_representatives(kind, _structures(kind, carrier),
+                                          carrier)
+    new = [[repr(am) for am in enumerate_amalgamations(i, j)]
+           for _, i, j in spans]
+    monkeypatch.setattr(fraisse, "_amalgam_cache", {})
+    monkeypatch.setattr(fraisse.KINDS[kind], "completions", _old_completions)
+    assert [[repr(am) for am in enumerate_amalgamations(i, j)]
+            for _, i, j in spans] == new

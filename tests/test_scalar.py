@@ -203,7 +203,7 @@ def test_equal_values_built_differently():
 
 
 def test_poly_against_sympy():
-    """+ - * /, evaluation, derivative, divmod, gcd, squarefree_part and
+    """+ - * / **, evaluation, derivative, divmod, gcd, squarefree_part and
     the text round trip agree with sympy over QQ on generated polynomials;
     every result is in canonical form, and equal values built in different
     ways are equal and hash alike."""
@@ -234,6 +234,8 @@ def test_poly_against_sympy():
         assert a - b == from_sympy(sa - sb)
         assert -a == from_sympy(-sa)
         assert a * b == from_sympy(sa * sb)
+        for n in range(13):
+            assert a ** n == from_sympy(sa ** n)
         assert a * c == c * a == from_sympy(sa * to_sympy(Poly.const(c)))
         if c:
             assert a / c == from_sympy(sa * to_sympy(Poly.const(1 / c)))
