@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, permutations, product as iproduct
+from functools import cached_property, lru_cache
+from itertools import combinations, islice, permutations, product as iproduct
 
 from .scalar import Poly, falling_factorial
 
@@ -67,13 +67,7 @@ class Structure:
     @classmethod
     def representatives(cls, size: int) -> list["Structure"]:
         """The first labelled structure of each isomorphism class."""
-        seen, out = set(), []
-        for s in cls.labelled(size):
-            k = s.iso_key()
-            if k not in seen:
-                seen.add(k)
-                out.append(s)
-        return out
+        return _first_of_each(cls.labelled(size), cls.iso_key)
 
     def embedding_maps(self, x: "Structure") -> list[tuple[int, ...]]:
         """The images of 0..size-1 under the embeddings into x."""
@@ -88,14 +82,17 @@ class Structure:
         return [s for s in self.labelled(size)
                 if s.restricts_to(own, self) and s.restricts_to(ip_map, yp)]
 
+    @cached_property
+    def _identity(self):
+        """The size and the identity relabel key, which give `==` and the
+        hash; computed once per structure."""
+        return self.size, self.relabel_key(tuple(range(self.size)))
+
     def __eq__(self, other):
-        return (type(self) is type(other) and self.size == other.size
-                and self.relabel_key(tuple(range(self.size)))
-                == other.relabel_key(tuple(range(other.size))))
+        return type(self) is type(other) and self._identity == other._identity
 
     def __hash__(self):
-        return hash((self.kind, self.size,
-                     self.relabel_key(tuple(range(self.size)))))
+        return hash((self.kind, *self._identity))
 
     def is_isomorphic(self, other) -> bool:
         return (type(self) is type(other) and self.size == other.size
@@ -104,7 +101,7 @@ class Structure:
 
 class FiniteSet(Structure):
     kind = "set"
-    max_size = 5
+    max_size = 6
 
     @classmethod
     def labelled(cls, size):
@@ -209,6 +206,8 @@ class Graph(Structure):
             if len(e) != 2 or not all(0 <= v < size for v in e):
                 raise ValueError(f"bad edge {set(e)}")
         self.edges = es
+        self._pairs = frozenset(p for a, b in map(tuple, es)
+                                for p in ((a, b), (b, a)))
 
     @classmethod
     def labelled(cls, size):
@@ -258,7 +257,7 @@ class Graph(Structure):
                       (tuple(e) for e in self.edges) if a in keep and b in keep])
 
     def has_edge(self, a, b):
-        return frozenset((a, b)) in self.edges
+        return (a, b) in self._pairs
 
     def text(self):
         body = ",".join(f"{a}-{b}" for a, b in
@@ -870,7 +869,7 @@ def verify_measure(kind: str, candidate: CandidateMeasure, max_size: int
         num, den = candidate.ratio(EmbeddingMap.identity(s))
         if num != den:
             return failed(("normalization", repr(s)))
-        for perm in list(permutations(range(s.size)))[:6]:
+        for perm in islice(permutations(range(s.size)), 6):
             sp = s.relabel(perm)
             if not sp.is_isomorphic(s):
                 return failed(("relabel broke isomorphism", repr(s), perm))
@@ -879,10 +878,10 @@ def verify_measure(kind: str, candidate: CandidateMeasure, max_size: int
     n_mult = 0
     for z in structures:
         for y in structures:
-            if y.size < z.size or y.size > max_size:
+            if y.size < z.size:
                 continue
             for x in structures:
-                if x.size < y.size or x.size > max_size:
+                if x.size < y.size:
                     continue
                 for jm in _embeddings_upto_auts(z, y):
                     for im in _embeddings_upto_auts(y, x):
@@ -933,7 +932,7 @@ _upto_cache: dict = {}
 def _auts(s: Structure):
     hit = _aut_cache.get(s)
     if hit is None:
-        ref = s.relabel_key(tuple(range(s.size)))
+        ref = s._identity[1]
         hit = [p for p in permutations(range(s.size)) if s.relabel_key(p) == ref]
         _aut_cache[s] = hit
     return hit
@@ -967,40 +966,37 @@ def _span_representatives(kind, structures, max_size):
     hit = _span_cache.get(cache_key)
     if hit is not None:
         return hit
-    seen = set()
-    out = []
-    for y in structures:
-        for x in structures:
-            if x.size < y.size:
-                continue
-            for yp in structures:
-                if yp.size < y.size:
-                    continue
-                if x.size + yp.size - y.size > max_size:
-                    continue
-                for i in _embeddings_upto_auts(y, x):
-                    for j in _embeddings_upto_auts(y, yp):
-                        key = _span_key(y, i, j)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        out.append((y, i, j))
-    _span_cache[cache_key] = out
+    spans = ((y, i, j) for y in structures for x in structures
+             for yp in structures
+             if y.size <= min(x.size, yp.size)
+             and x.size + yp.size - y.size <= max_size
+             for i in _embeddings_upto_auts(y, x)
+             for j in _embeddings_upto_auts(y, yp))
+    out = _span_cache[cache_key] = _first_of_each(
+        spans, lambda span: _span_key(*span))
     return out
 
 
 def _span_key(y, i, j):
-    x, yp = i.dst, j.dst
-    best = None
-    for ay in _auts(y):
-        for ax in _auts(x):
-            mi = tuple(ax[i.mapping[ay[v]]] for v in range(y.size))
-            for ap in _auts(yp):
-                mj = tuple(ap[j.mapping[ay[v]]] for v in range(y.size))
-                cand = (mi, mj)
-                if best is None or cand < best:
-                    best = cand
-    return (x.iso_key(), y.iso_key(), yp.iso_key(), best)
+    """Equal exactly for spans related by automorphisms of Y, X and Y'.
+    For a fixed a_Y, a_X moves only the X leg and a_Y' only the Y' leg, so
+    the least pair of legs is the pair of least legs."""
+    return (i.dst.iso_key(), y.iso_key(), j.dst.iso_key(),
+            min((_least(i.mapping, _auts(i.dst), ay),
+                 _least(j.mapping, _auts(j.dst), ay)) for ay in _auts(y)))
+
+
+def _least(mapping, auts, ay):
+    """The least of a.mapping.ay over the automorphisms a."""
+    return min(tuple(a[mapping[v]] for v in ay) for a in auts)
+
+
+def _first_of_each(items, key):
+    """The first item of each key, in order of first appearance."""
+    firsts = {}
+    for item in items:
+        firsts.setdefault(key(item), item)
+    return list(firsts.values())
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,8 @@ def test_amalgam_boron_case_3():
 def test_verify_sets_symbolic():
     rep = verify_measure("set", sets_nu_t(), 4)
     assert rep.ok, rep.failures
+    rep = verify_measure("set", sets_nu_t(), 5)
+    assert rep.ok, rep.failures
 
 
 def test_verify_orders():
@@ -668,3 +670,84 @@ def test_generic_paths_match_per_kind_bodies(kind, top, carrier,
     monkeypatch.setattr(fraisse.KINDS[kind], "completions", _old_completions)
     assert [[repr(am) for am in enumerate_amalgamations(i, j)]
             for _, i, j in spans] == new
+
+
+def _old_span_key(y, i, j):
+    """The span key as one loop over Aut(Y) x Aut(X) x Aut(Y')."""
+    from oligocat.fraisse import _auts
+    x, yp = i.dst, j.dst
+    best = None
+    for ay in _auts(y):
+        for ax in _auts(x):
+            mi = tuple(ax[i.mapping[ay[v]]] for v in range(y.size))
+            for ap in _auts(yp):
+                mj = tuple(ap[j.mapping[ay[v]]] for v in range(y.size))
+                cand = (mi, mj)
+                if best is None or cand < best:
+                    best = cand
+    return (x.iso_key(), y.iso_key(), yp.iso_key(), best)
+
+
+def _span_shapes(structures, top):
+    """The (Y, X, Y') whose glued carrier has at most top points."""
+    return [(y, x, yp) for y in structures for x in structures
+            for yp in structures if y.size <= min(x.size, yp.size)
+            and x.size + yp.size - y.size <= top]
+
+
+@pytest.mark.parametrize("kind, top", [sizes[:2] for sizes in ORACLE_SIZES])
+def test_spans_match_triple_loop_key(kind, top):
+    """The spans up to the oracle size are, in order, the first of each
+    class under the triple-loop key, and _span_key gives each candidate
+    span the same key."""
+    from oligocat import fraisse
+    structures = _structures(kind, top)
+    seen, old = set(), []
+    for y, x, yp in _span_shapes(structures, top):
+        for i in fraisse._embeddings_upto_auts(y, x):
+            for j in fraisse._embeddings_upto_auts(y, yp):
+                key = _old_span_key(y, i, j)
+                assert fraisse._span_key(y, i, j) == key
+                if key not in seen:
+                    seen.add(key)
+                    old.append((y, i, j))
+    assert ([repr(span) for span in
+             fraisse._span_representatives(kind, structures, top)]
+            == [repr(span) for span in old])
+
+
+@pytest.mark.parametrize("kind, top", [("set", 3), ("graph", 3),
+                                       ("boron", 4)])
+def test_span_key_matches_triple_loop_on_every_embedding(kind, top):
+    """On every span, not only those between double-coset representatives
+    (whose key is their own pair of legs), the key is the triple loop's."""
+    from oligocat import fraisse
+    for y, x, yp in _span_shapes(_structures(kind, top), top):
+        for i in embeddings(y, x):
+            for j in embeddings(y, yp):
+                assert fraisse._span_key(y, i, j) == _old_span_key(y, i, j)
+
+
+def _old_identity_key(s):
+    """What __eq__ compared and __hash__ hashed, recomputed on each call."""
+    return (s.kind, s.size, s.relabel_key(tuple(range(s.size))))
+
+
+@pytest.mark.parametrize("kind, top", [sizes[:2] for sizes in ORACLE_SIZES])
+def test_identity_matches_uncached_key(kind, top):
+    """hash and == on every labelled structure up to the oracle size, and
+    on a relabelled copy of each, are those of the uncached key."""
+    from itertools import permutations
+    from oligocat.fraisse import KINDS
+    items = []
+    for n in range(top + 1):
+        shift = tuple((v + 1) % n for v in range(n))
+        for s in ([TotalOrder(n, p) for p in permutations(range(n))]
+                  if kind == "order" else KINDS[kind].labelled(n)):
+            items += [s, s.relabel(shift)]
+    firsts = {}
+    for s in items:
+        key = _old_identity_key(s)
+        assert hash(s) == hash(key)
+        assert s == firsts.setdefault(key, s)
+    assert len(set(items)) == len(firsts)
