@@ -7,9 +7,8 @@ name, and a structure lives on the carrier 0..size-1.  A new kind defines
 - `labelled(size)`, every structure of the kind on 0..size-1;
 - `induced(elements)`, the substructure on the given elements, renumbered
   in the given order;
-- `iso_key()`, equal exactly for isomorphic structures, and
-  `relabel_key(perm)`, equal exactly for equal relabelled structures (it
-  gives `==`, hashing and the automorphisms);
+- `iso_key()`, equal exactly for isomorphic structures, and `key()`,
+  equal exactly for equal structures (it gives `==` and hashing);
 - `text()`, the canonical text key of measure tables;
 - `max_size`, the largest size that `fraisse --check` accepts for the kind:
   every check on the kind finishes at it within about ten seconds.
@@ -17,7 +16,8 @@ name, and a structure lives on the carrier 0..size-1.  A new kind defines
 From these the base class gives `relabel`, `restricts_to` (does the
 structure, read along a map, give a target?), the isomorphism-class
 representatives of `all_structures` (the first labelled structure of each
-class), `embedding_maps` (injections filtered by `restricts_to`) and the
+class), `embedding_maps` (injections filtered by `restricts_to`, in
+lexicographic order; the automorphisms are the self-embeddings) and the
 `completions` of a glued carrier that `enumerate_amalgamations` lists
 (labelled structures filtered by `restricts_to` on both sides).  A kind may
 override any of them with a fast path: graphs and boron trees compare edges
@@ -84,9 +84,9 @@ class Structure:
 
     @cached_property
     def _identity(self):
-        """The size and the identity relabel key, which give `==` and the
-        hash; computed once per structure."""
-        return self.size, self.relabel_key(tuple(range(self.size)))
+        """The size and the key, which give `==` and the hash; computed
+        once per structure."""
+        return self.size, self.key()
 
     def __eq__(self, other):
         return type(self) is type(other) and self._identity == other._identity
@@ -110,7 +110,7 @@ class FiniteSet(Structure):
     def iso_key(self):
         return ("set", self.size)
 
-    def relabel_key(self, perm):
+    def key(self):
         return ()
 
     def induced(self, elements):
@@ -160,8 +160,8 @@ class TotalOrder(Structure):
     def iso_key(self):
         return ("order", self.size)
 
-    def relabel_key(self, perm):
-        return tuple(perm[v] for v in self.order)
+    def key(self):
+        return self.order
 
     def induced(self, elements):
         return TotalOrder(len(elements), sorted(
@@ -245,9 +245,8 @@ class Graph(Structure):
     def iso_key(self):
         return ("graph", self.size, _graph_canon(self.size, self.edges))
 
-    def relabel_key(self, perm):
-        return frozenset(frozenset((perm[a], perm[b]))
-                         for a, b in (tuple(e) for e in self.edges))
+    def key(self):
+        return self.edges
 
     def induced(self, elements):
         pos = {v: i for i, v in enumerate(elements)}
@@ -357,15 +356,11 @@ class BoronTree(Structure):
         """True when the geodesic through w,x meets the one through y,z."""
         return not self._path(w, x).isdisjoint(self._path(y, z))
 
-    def relabel_key(self, perm):
-        inv = {perm[v]: v for v in range(self.size)}
-        out = []
-        for sq in combinations(range(self.size), 4):
-            w, x, y, z = (inv[v] for v in sq)
-            out.append((sq, (self.relation(w, x, y, z),
-                             self.relation(w, y, x, z),
-                             self.relation(w, z, x, y))))
-        return tuple(out)
+    def key(self):
+        return tuple(((w, x, y, z), (self.relation(w, x, y, z),
+                                     self.relation(w, y, x, z),
+                                     self.relation(w, z, x, y)))
+                     for w, x, y, z in combinations(range(self.size), 4))
 
     def iso_key(self):
         return ("boron", self.size, _tree_canon(self))
@@ -930,11 +925,10 @@ _upto_cache: dict = {}
 
 
 def _auts(s: Structure):
+    """The automorphisms of s, its self-embeddings."""
     hit = _aut_cache.get(s)
     if hit is None:
-        ref = s._identity[1]
-        hit = [p for p in permutations(range(s.size)) if s.relabel_key(p) == ref]
-        _aut_cache[s] = hit
+        hit = _aut_cache[s] = tuple(e.mapping for e in embeddings(s, s))
     return hit
 
 
@@ -966,29 +960,14 @@ def _span_representatives(kind, structures, max_size):
     hit = _span_cache.get(cache_key)
     if hit is not None:
         return hit
-    spans = ((y, i, j) for y in structures for x in structures
-             for yp in structures
-             if y.size <= min(x.size, yp.size)
-             and x.size + yp.size - y.size <= max_size
-             for i in _embeddings_upto_auts(y, x)
-             for j in _embeddings_upto_auts(y, yp))
-    out = _span_cache[cache_key] = _first_of_each(
-        spans, lambda span: _span_key(*span))
+    out = _span_cache[cache_key] = [
+        (y, i, j) for y in structures for x in structures
+        for yp in structures
+        if y.size <= min(x.size, yp.size)
+        and x.size + yp.size - y.size <= max_size
+        for i in _embeddings_upto_auts(y, x)
+        for j in _embeddings_upto_auts(y, yp)]
     return out
-
-
-def _span_key(y, i, j):
-    """Equal exactly for spans related by automorphisms of Y, X and Y'.
-    For a fixed a_Y, a_X moves only the X leg and a_Y' only the Y' leg, so
-    the least pair of legs is the pair of least legs."""
-    return (i.dst.iso_key(), y.iso_key(), j.dst.iso_key(),
-            min((_least(i.mapping, _auts(i.dst), ay),
-                 _least(j.mapping, _auts(j.dst), ay)) for ay in _auts(y)))
-
-
-def _least(mapping, auts, ay):
-    """The least of a.mapping.ay over the automorphisms a."""
-    return min(tuple(a[mapping[v]] for v in ay) for a in auts)
 
 
 def _first_of_each(items, key):

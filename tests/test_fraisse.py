@@ -34,7 +34,7 @@ def test_boron_relation_recovers_shape():
     # the two 6-leaf shapes are distinguished by the relation alone
     a, b = all_structures("boron", 6)
     assert a.iso_key() != b.iso_key()
-    assert a.relabel_key(tuple(range(6))) != b.relabel_key(tuple(range(6)))
+    assert a.key() != b.key()
 
 
 def test_boron_induced_substructure_commutes():
@@ -286,8 +286,7 @@ def test_amalgams_have_no_duplicates():
     ams = enumerate_amalgamations(i, j)
     keys = set()
     for am in ams:
-        keys.add((am.structure.size,
-                  am.structure.relabel_key(tuple(range(am.structure.size))),
+        keys.add((am.structure.size, am.structure.key(),
                   am.into_from_yprime.mapping, am.into_from_x.mapping))
     assert len(keys) == len(ams)
 
@@ -688,6 +687,21 @@ def _old_span_key(y, i, j):
     return (x.iso_key(), y.iso_key(), yp.iso_key(), best)
 
 
+def _span_key(y, i, j):
+    """Equal exactly for spans related by automorphisms of Y, X and Y'.
+    For a fixed a_Y, a_X moves only the X leg and a_Y' only the Y' leg, so
+    the least pair of legs is the pair of least legs."""
+    from oligocat.fraisse import _auts
+    return (i.dst.iso_key(), y.iso_key(), j.dst.iso_key(),
+            min((_least(i.mapping, _auts(i.dst), ay),
+                 _least(j.mapping, _auts(j.dst), ay)) for ay in _auts(y)))
+
+
+def _least(mapping, auts, ay):
+    """The least of a.mapping.ay over the automorphisms a."""
+    return min(tuple(a[mapping[v]] for v in ay) for a in auts)
+
+
 def _span_shapes(structures, top):
     """The (Y, X, Y') whose glued carrier has at most top points."""
     return [(y, x, yp) for y in structures for x in structures
@@ -707,7 +721,7 @@ def test_spans_match_triple_loop_key(kind, top):
         for i in fraisse._embeddings_upto_auts(y, x):
             for j in fraisse._embeddings_upto_auts(y, yp):
                 key = _old_span_key(y, i, j)
-                assert fraisse._span_key(y, i, j) == key
+                assert _span_key(y, i, j) == key
                 if key not in seen:
                     seen.add(key)
                     old.append((y, i, j))
@@ -721,16 +735,15 @@ def test_spans_match_triple_loop_key(kind, top):
 def test_span_key_matches_triple_loop_on_every_embedding(kind, top):
     """On every span, not only those between double-coset representatives
     (whose key is their own pair of legs), the key is the triple loop's."""
-    from oligocat import fraisse
     for y, x, yp in _span_shapes(_structures(kind, top), top):
         for i in embeddings(y, x):
             for j in embeddings(y, yp):
-                assert fraisse._span_key(y, i, j) == _old_span_key(y, i, j)
+                assert _span_key(y, i, j) == _old_span_key(y, i, j)
 
 
 def _old_identity_key(s):
     """What __eq__ compared and __hash__ hashed, recomputed on each call."""
-    return (s.kind, s.size, s.relabel_key(tuple(range(s.size))))
+    return (s.kind, s.size, s.key())
 
 
 @pytest.mark.parametrize("kind, top", [sizes[:2] for sizes in ORACLE_SIZES])
@@ -751,3 +764,14 @@ def test_identity_matches_uncached_key(kind, top):
         assert hash(s) == hash(key)
         assert s == firsts.setdefault(key, s)
     assert len(set(items)) == len(firsts)
+
+
+@pytest.mark.parametrize("kind, top", [sizes[:2] for sizes in ORACLE_SIZES])
+def test_auts_are_the_permutations_that_fix_a_structure(kind, top):
+    """The automorphisms, read off the self-embeddings, are the
+    permutations that relabel a structure to itself, in the same order."""
+    from itertools import permutations
+    from oligocat.fraisse import _auts
+    for s in _structures(kind, top):
+        assert _auts(s) == tuple(p for p in permutations(range(s.size))
+                                 if s.relabel(p) == s)
