@@ -878,8 +878,8 @@ def verify_measure(kind: str, candidate: CandidateMeasure, max_size: int
             for x in structures:
                 if x.size < y.size:
                     continue
-                for jm in _embeddings_upto_auts(z, y):
-                    for im in _embeddings_upto_auts(y, x):
+                for jm in _embeddings_upto_auts(z, y, _auts(z)):
+                    for im in _embeddings_upto_auts(y, x, _auts(y)):
                         num, den = candidate.ratio(im.compose(jm))
                         num_i, den_i = candidate.ratio(im)
                         num_j, den_j = candidate.ratio(jm)
@@ -932,30 +932,39 @@ def _auts(s: Structure):
     return hit
 
 
-def _embeddings_upto_auts(y: Structure, x: Structure):
-    """One embedding per Aut(x)-Aut(y) double coset."""
-    hit = _upto_cache.get((y, x))
+def _embeddings_upto_auts(y: Structure, x: Structure, right):
+    """One embedding per double coset of Aut(x) and the group right of
+    automorphisms of y."""
+    hit = _upto_cache.get((y, x, right))
     if hit is not None:
         return hit
-    auts_x, auts_y = _auts(x), _auts(y)
+    auts_x = _auts(x)
     seen, out = set(), []
     for e in embeddings(y, x):
         if e.mapping in seen:
             continue
         out.append(e)
         for ax in auts_x:
-            for ay in auts_y:
+            for ay in right:
                 seen.add(tuple(ax[e.mapping[ay[v]]] for v in range(y.size)))
-    _upto_cache[(y, x)] = out
+    _upto_cache[(y, x, right)] = out
     return out
+
+
+def _stabiliser(i: EmbeddingMap):
+    """The automorphisms a of the source with i.a in Aut(target).i."""
+    orbit = {tuple(ax[v] for v in i.mapping) for ax in _auts(i.dst)}
+    return tuple(a for a in _auts(i.src)
+                 if tuple(i.mapping[v] for v in a) in orbit)
 
 
 _span_cache: dict = {}
 
 
 def _span_representatives(kind, structures, max_size):
-    """Spans (i: Y -> X, j: Y -> Y') with #X + #Y' - #Y <= max_size, up to
-    simultaneous isomorphism."""
+    """Spans (i: Y -> X, j: Y -> Y') with #X + #Y' - #Y <= max_size, one
+    per class under (i, j) ~ (a_X.i.a_Y, a_Y'.j.a_Y): i up to Aut(X) and
+    Aut(Y), then j up to Aut(Y') and the a_Y that keep i's class."""
     cache_key = (kind, max_size, tuple(s.iso_key() for s in structures))
     hit = _span_cache.get(cache_key)
     if hit is not None:
@@ -965,8 +974,8 @@ def _span_representatives(kind, structures, max_size):
         for yp in structures
         if y.size <= min(x.size, yp.size)
         and x.size + yp.size - y.size <= max_size
-        for i in _embeddings_upto_auts(y, x)
-        for j in _embeddings_upto_auts(y, yp)]
+        for i in _embeddings_upto_auts(y, x, _auts(y))
+        for j in _embeddings_upto_auts(y, yp, _stabiliser(i))]
     return out
 
 
