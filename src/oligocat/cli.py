@@ -103,8 +103,6 @@ def _scalar_out(value, at: EvalPoint) -> str:
     v = evaluate(value, at)
     if isinstance(v, Poly):
         return v.to_text()
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else str(v)
     return str(v)
 
 

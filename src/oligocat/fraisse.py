@@ -268,14 +268,10 @@ class Graph(Structure):
 
 
 @lru_cache(maxsize=None)
-def _graph_canon_cached(size, edges):
-    return min(tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in edges))
-               for p in permutations(range(size)))
-
-
 def _graph_canon(size, edges):
-    return _graph_canon_cached(size, tuple(sorted(tuple(sorted(e))
-                                                  for e in edges)))
+    pairs = [tuple(e) for e in edges]
+    return min(tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in pairs))
+               for p in permutations(range(size)))
 
 
 class BoronTree(Structure):

@@ -8,7 +8,6 @@ Q[x] with x standing for the q-integer count of points of projective space.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -104,7 +103,7 @@ class QContext:
                 rows.append({
                     "m": m, "d": d,
                     "poly": w.to_text("x"),
-                    "values": {str(n): _frac_str(w(self.q_int(n))) for n in ns},
+                    "values": {str(n): str(w(self.q_int(n))) for n in ns},
                 })
         return {"q": self.q, "rows": rows}
 
@@ -133,10 +132,6 @@ class GlqReport:
 
     def __repr__(self):
         return f"GlqReport({self.name}, ok={self.ok}, witnesses={self.witnesses})"
-
-
-def _frac_str(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,52 @@ class OrderContext:
         return pat.to_text(expr)
 
     def parse_orbit(self, expr: SetExpr, s: str) -> OrderPattern:
-        return parse_order_pattern(expr, s, self)
+        """Parse a token string like "r1<b1=r2<b2" (indexed tokens) or the
+        bare form "r<b=r<b" (occurrence order); constants are "#1", "#2",
+        ...  Raises ValueError unless the text names one of the orbits of
+        expr (checked on the classes, without enumerating the orbits)."""
+        m = re.fullmatch(r"(.*?)@r=(\d+)(#c(\d+))?", s.strip())
+        if m:
+            body, level = m.group(1), int(m.group(2))
+            comp = int(m.group(4)) if m.group(4) else 0
+        else:
+            body, level, comp = s.strip(), 0, 0
+        if comp >= expr.n_comps():
+            raise ValueError(f"no component {comp} in {expr.to_text()}")
+        slot_of = {}
+        for fi, slots in enumerate(expr.factor_slots(comp)):
+            for j, sl in enumerate(slots):
+                slot_of[(_factor_letter(fi), j + 1)] = sl
+        occurrence = Counter()
+        classes = []
+        if body and body != "()":
+            for cls_text in body.split("<"):
+                cls = []
+                for tok in cls_text.split("="):
+                    tok = tok.strip()
+                    if tok.startswith("#"):
+                        const = int(tok[1:])
+                        if not 1 <= const <= level:
+                            raise ValueError(f"unknown constant {tok!r}")
+                        cls.append(-const)
+                        continue
+                    mt = re.fullmatch(r"([a-z]'*)(\d*)", tok)
+                    if not mt:
+                        raise ValueError(f"bad token {tok!r}")
+                    letter = mt.group(1)
+                    if mt.group(2):
+                        j = int(mt.group(2))
+                    else:
+                        occurrence[letter] += 1
+                        j = occurrence[letter]
+                    if (letter, j) not in slot_of:
+                        raise ValueError(f"unknown token {tok!r}")
+                    cls.append(slot_of[(letter, j)])
+                classes.append(tuple(sorted(cls)))
+        if not _is_weak_order(expr, comp, level, classes):
+            raise ValueError(f"{s!r} is not an orbit of {expr.to_text()}")
+        return self.canonicalize(expr,
+                                 OrderPattern(comp, level, tuple(classes)))
 
 
 def _gaps(classes: Classes, referenced=()) -> list[int]:
@@ -350,56 +395,6 @@ def _weak_orders(items, separated, chains=(), classes=()) -> list[Classes]:
                 new.append(cs[:pos] + single + cs[pos:])
         orders = new
     return orders
-
-
-def parse_order_pattern(expr: SetExpr, s: str, ctx: OrderContext | None = None
-                        ) -> OrderPattern:
-    """Parse a token string like "r1<b1=r2<b2" (indexed tokens) or the bare
-    form "r<b=r<b" (occurrence order); constants are "#1", "#2", ...
-    Raises ValueError unless the text names one of the orbits of expr
-    (checked on the classes, without enumerating the orbits)."""
-    ctx = ctx or OrderContext()
-    m = re.fullmatch(r"(.*?)@r=(\d+)(#c(\d+))?", s.strip())
-    if m:
-        body, level = m.group(1), int(m.group(2))
-        comp = int(m.group(4)) if m.group(4) else 0
-    else:
-        body, level, comp = s.strip(), 0, 0
-    if comp >= expr.n_comps():
-        raise ValueError(f"no component {comp} in {expr.to_text()}")
-    slot_of = {}
-    for fi, slots in enumerate(expr.factor_slots(comp)):
-        for j, sl in enumerate(slots):
-            slot_of[(_factor_letter(fi), j + 1)] = sl
-    occurrence = Counter()
-    classes = []
-    if body and body != "()":
-        for cls_text in body.split("<"):
-            cls = []
-            for tok in cls_text.split("="):
-                tok = tok.strip()
-                if tok.startswith("#"):
-                    const = int(tok[1:])
-                    if not 1 <= const <= level:
-                        raise ValueError(f"unknown constant {tok!r}")
-                    cls.append(-const)
-                    continue
-                mt = re.fullmatch(r"([a-z]'*)(\d*)", tok)
-                if not mt:
-                    raise ValueError(f"bad token {tok!r}")
-                letter = mt.group(1)
-                if mt.group(2):
-                    j = int(mt.group(2))
-                else:
-                    occurrence[letter] += 1
-                    j = occurrence[letter]
-                if (letter, j) not in slot_of:
-                    raise ValueError(f"unknown token {tok!r}")
-                cls.append(slot_of[(letter, j)])
-            classes.append(tuple(sorted(cls)))
-    if not _is_weak_order(expr, comp, level, classes):
-        raise ValueError(f"{s!r} is not an orbit of {expr.to_text()}")
-    return ctx.canonicalize(expr, OrderPattern(comp, level, tuple(classes)))
 
 
 def _factor_letter(fi: int) -> str:

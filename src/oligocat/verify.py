@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product as iproduct
 
 from . import fraisse
 from .category import (PermObject, check_additivity, check_base_change,
@@ -236,20 +237,11 @@ def sym_end_oracle(n: int, big_n: int):
     symmetric group, in the orbit basis: one 0/1 matrix per orbit, as a
     tuple of int rows indexed by the points of [N]^n."""
     alg = EndAlgebra(SymContext(), power(n))
-    pts = list(_tuples(big_n, n))
+    pts = list(iproduct(range(1, big_n + 1), repeat=n))
     mats = [tuple(tuple(int(_matches(pat.blocks, r + c)) for c in pts)
                   for r in pts)
             for pat in alg.orbit_list]
     return alg, mats
-
-
-def _tuples(big_n, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _tuples(big_n, n - 1):
-        for v in range(1, big_n + 1):
-            yield rest + (v,)
 
 
 def _matches(blocks, values) -> bool:

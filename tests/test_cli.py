@@ -221,6 +221,25 @@ def test_fraisse_polynomial_table(table, code, verdict, tmp_path, capsys):
         f"set-table up to size 3: {verdict}")
 
 
+RADO_TABLE = {"graph:0:": 1, "graph:1:": 2, "graph:2:": 1, "graph:2:0-1": 1}
+
+
+@pytest.mark.parametrize("table,code,out", [
+    (RADO_TABLE, 0, "graph invariant table: pass [] ({'checked': 1})\n"),
+    (dict.fromkeys(RADO_TABLE, 1), 1,
+     "graph invariant table: FAIL [('Graph(2, [(0, 1)])', (0, 1), '1', '3')]"
+     " ({'checked': 1})\n")],
+    ids=["single-edge", "all-ones"])
+def test_fraisse_rado_table(table, code, out, tmp_path, capsys):
+    """A graph invariant table is checked by the edge-contraction identity:
+    the rado-demo single-edge values pass, all ones fail with a witness."""
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    assert cli.main(["fraisse", "--class", "graphs", "--check", "rado",
+                     "--max-size", "2", "--table", str(path)]) == code
+    assert capsys.readouterr().out == out
+
+
 def test_glq_commands():
     code, out, _ = run_cli("glq", "--q", "2", "--what", "pascal")
     assert code == 0 and "pass" in out
