@@ -180,12 +180,15 @@ class SchwartzFunction:
         self.ctx = ctx
         self.expr = expr
         self.level = level
-        self.terms = {pat: c for pat, c in terms.items()
-                      if isinstance(c, Poly) and not c.is_zero()
-                      or not isinstance(c, Poly) and c != 0}
-        for pat in self.terms:
-            if not isinstance(self.terms[pat], Poly):
-                self.terms[pat] = Poly.const(self.terms[pat])
+        # zeros are dropped; a scalar zero is dropped before Poly.const,
+        # which refuses a float, so a float 0.0 is dropped silently
+        self.terms = kept = {}
+        for pat, c in terms.items():
+            if isinstance(c, Poly):
+                if not c.is_zero():
+                    kept[pat] = c
+            elif c != 0:
+                kept[pat] = Poly.const(c)
 
     # -- constructors ------------------------------------------------------
 

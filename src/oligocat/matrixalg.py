@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .scalar import (EvalPoint, Poly, TruncatedSeries, evaluate)
 from .setexpr import SetExpr, product
@@ -112,7 +112,8 @@ class InvariantMatrix:
 # o_zy of Z x Y comes from ctx.composition_row, which extends o_zy by the X
 # slots; it groups the terms as row[o_yx] = ((R, c), ...), with c the summed
 # measure of the extensions whose restriction to Y x X is o_yx, and zero
-# sums dropped.  matmul reads the rows of b's support only.
+# sums dropped.  matmul reads the rows of b's support only, and sums the
+# products c_b c_a c into one list of integer numerators per R.
 @lru_cache(maxsize=None)
 def _composition_row(ctx, z: SetExpr, y: SetExpr, x: SetExpr, level: int,
                      o_zy):
@@ -125,28 +126,77 @@ def _composition_row(ctx, z: SetExpr, y: SetExpr, x: SetExpr, level: int,
             for o_yx, group in sums.items()}
 
 
+def _convolve(a, b) -> list:
+    """The integer numerators of the product of two numerator tuples, as a
+    new list."""
+    if len(b) == 1:
+        c = b[0]
+        return [x * c for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def matmul(b: InvariantMatrix, a: InvariantMatrix) -> InvariantMatrix:
     """Composition b after a: (b a)(z, x) is the integral over y of
     b(z, y) a(y, x).  The coefficient on an orbit R of Z x X is the sum of
     c_b c_a times the fibre measure over R, over the support pairs of b on
-    Z x Y and a on Y x X, read from the composition rows of b's support."""
+    Z x Y and a on Y x X, read from the composition rows of b's support.
+
+    The sum runs on integers: each R keeps a list of numerators over one
+    positive denominator, rescaled only when a term's denominator differs,
+    and one Poly is built per R at the end, in the order the R are first
+    met.  Poly's form is canonical, so the result is the one that summing
+    Poly objects gives."""
     if a.codomain != b.domain:
         raise ValueError("inner sets do not match")
     ctx = a.ctx
     x, y, z = a.domain, a.codomain, b.codomain
     lvl = max(a.level, b.level)
     a_terms = change_level(a.entries, lvl).terms
-    terms: dict = {}
+    sums: dict = {}  # R -> [den, numerators]
     for ob, cb in change_level(b.entries, lvl).terms.items():
         row = _composition_row(ctx, z, y, x, lvl, ob)
         for oa, ca in a_terms.items():
             group = row.get(oa)
             if not group:
                 continue
-            c = cb * ca
+            num = _convolve(cb.num, ca.num)
+            den_ba = cb.den * ca.den
             for image, coeff in group:
-                term = c * coeff
-                terms[image] = terms[image] + term if image in terms else term
+                cn = coeff.num
+                den = den_ba * coeff.den
+                acc = sums.get(image)
+                if acc is None:
+                    sums[image] = [den, _convolve(num, cn)]
+                    continue
+                d, out = acc
+                f = 1
+                if d != den:  # bring both to the lcm of the denominators
+                    g = gcd(d, den)
+                    if g != den:
+                        k = den // g
+                        out[:] = [v * k for v in out]
+                        d *= k
+                        acc[0] = d
+                    f = d // den
+                short = len(num) + len(cn) - 1 - len(out)
+                if short > 0:
+                    out.extend([0] * short)
+                for j, c in enumerate(cn):
+                    if c:
+                        c *= f
+                        for i, v in enumerate(num, j):
+                            out[i] += v * c
+    terms = {}
+    for image, (den, num) in sums.items():
+        while num and num[-1] == 0:
+            num.pop()
+        if num:
+            terms[image] = Poly._reduced(num, den)
     return InvariantMatrix(ctx, x, z,
                            SchwartzFunction(ctx, product(z, x), lvl, terms))
 
@@ -334,9 +384,10 @@ class SpecializedEnd:
 
     def poly_of(self, p: Poly, v):
         """p(v) inside the algebra."""
-        out = [c * p.coeffs[-1] for c in self.ident] if p.coeffs else \
+        coeffs = p.coeffs
+        out = [c * coeffs[-1] for c in self.ident] if coeffs else \
             [Fraction(0)] * self.dim
-        for c in reversed(p.coeffs[:-1]):
+        for c in reversed(coeffs[:-1]):
             out = self.mul(out, v)
             out = [a + b * c for a, b in zip(out, self.ident)]
         return out

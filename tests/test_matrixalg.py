@@ -411,10 +411,11 @@ def test_tensor_matches_pullback_product():
             assert got == tensor_by_pullback(m, n), (ctx, lm, ln)
 
 
-def seeded_matrix(ctx, x, y, rng, level=0):
-    """A matrix x -> y with seeded coefficients, about a quarter zero."""
+def seeded_matrix(ctx, x, y, rng, level=0, coeffs=COEFFS):
+    """A matrix x -> y with seeded coefficients, by default about a quarter
+    zero."""
     yx = product(y, x)
-    terms = {pat: rng.choice(COEFFS) for pat in ctx.orbits(yx, level)}
+    terms = {pat: rng.choice(coeffs) for pat in ctx.orbits(yx, level)}
     return InvariantMatrix(ctx, x, y, SchwartzFunction(ctx, yx, level, terms))
 
 
@@ -488,6 +489,86 @@ def test_matmul_matches_pullback_product_pushforward():
             b0 = seeded_matrix(ctx, y, z, rng, level=0)
             a1 = seeded_matrix(ctx, x, y, rng, level=1)
             assert matmul(b0, a1) == matmul_by_pullback(b0, a1)
+
+
+KERNEL_COEFFS = [0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(-1, 6),
+                 (t * t + t) / 2, t - 2]
+
+
+def _fields(m):
+    return {pat: (c.num, c.den) for pat, c in m.entries.terms.items()}
+
+
+def test_matmul_integer_sums_match_pullback_oracle():
+    """matmul's sums on integer numerators give the oracle's canonical
+    fields on every coefficient: denominators 1/2, 1/3, -1/6 and 2 mixed, a
+    pair of terms that cancels on one image, a sum whose top degree
+    cancels, at levels 0 and 1 in sym and OrderContext(0, -1); the factors'
+    terms are left as they were."""
+    alg = EndAlgebra(sym, power(1))
+    diag, off = sorted(alg.orbit_list, key=lambda pat: pat not in
+                       InvariantMatrix.identity(sym, power(1)).entries.terms)
+
+    def end(ci, cj):
+        return alg.vec_to_matrix([ci if pat == diag else cj
+                                  for pat in alg.orbit_list])
+
+    # diagonal (1/2)(2/3)(t - 1) + (-1/6)(2)(t - 1) = 0; off-diagonal
+    # 1 - (t - 1)/9 - (t - 2)/3 over the denominators 2, 18 and 6
+    b, a = end(Fraction(1, 2), Fraction(-1, 6)), end((2 * t - 2) / 3, 2)
+    assert matmul(b, a).entries.terms == {off: (16 - 4 * t) / 9}
+    # off-diagonal 1/3 + (-t + 1/2) + (t - 2): the t terms cancel
+    b, a = end(Fraction(1, 3), 1), end(Fraction(1, 2) - t, 1)
+    assert matmul(b, a).entries.terms == {
+        diag: t * Fraction(2, 3) - Fraction(5, 6), off: Poly.const(
+            Fraction(-7, 6))}
+
+    rng = random.Random(59)
+    for ctx in (sym, OrderContext(0, -1)):
+        for level in (0, 1):
+            for z, y, x in [(power(1), sub(2), power(1)),
+                            (sub(2), power(1), MIXED),
+                            (power(1), sub(2), inj(2))]:
+                a = seeded_matrix(ctx, x, y, rng, level, KERNEL_COEFFS)
+                b = seeded_matrix(ctx, y, z, rng, level, KERNEL_COEFFS)
+                before = _fields(b), _fields(a)
+                got = _fields(matmul(b, a))
+                assert got == _fields(matmul_by_pullback(b, a))
+                assert (_fields(b), _fields(a)) == before
+
+
+def test_matmul_sums_without_poly_arithmetic(monkeypatch):
+    """On the shapes of the benchmark's random End laws (sym Power(2),
+    order Power(1)), with the composition rows cached, matmul adds and
+    multiplies no Poly and builds one Poly._reduced per output orbit."""
+    rng = random.Random(61)
+    cases = []
+    for ctx, n in ((sym, 2), (order, 1)):
+        alg = EndAlgebra(ctx, power(n))
+        for _ in range(3):
+            b, a = (alg.vec_to_matrix([rng.randint(-3, 3)
+                                       for _ in range(alg.dim)])
+                    for _ in range(2))
+            cases.append((b, a, matmul(b, a)))
+    calls = dict.fromkeys(("__add__", "__radd__", "__mul__", "__rmul__",
+                           "_reduced"), 0)
+
+    def counted(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    for name in calls:
+        f = counted(name, Poly.__dict__[name])
+        monkeypatch.setattr(Poly, name,
+                            staticmethod(f) if name == "_reduced" else f)
+    for b, a, expected in cases:
+        got = matmul(b, a)
+        assert calls["_reduced"] == len(got.entries.terms)
+        assert sum(calls.values()) == calls["_reduced"]
+        calls.update(dict.fromkeys(calls, 0))
+        assert got == expected
 
 
 def test_allones_square():
