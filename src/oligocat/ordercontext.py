@@ -21,7 +21,8 @@ from collections import Counter
 from functools import lru_cache
 
 from .scalar import Poly
-from .setexpr import SetExpr, check_enumerable, measure_polynomial
+from .setexpr import (SetExpr, check_enumerable, lex_subsets,
+                      measure_polynomial, separation_bits, unfold)
 
 # Pattern classes are tuples of items; an item is a slot id >= 0 or -i for
 # the i-th pinned constant (so constants sort first within a class).
@@ -345,17 +346,43 @@ def _full_line_value(e: int, d: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _order_orbits(expr: SetExpr, level: int) -> tuple[OrderPattern, ...]:
-    """Canonical patterns generated directly: the constants and each Sub
-    factor's slots are chains, so every orbit comes out once."""
+    """Canonical patterns generated directly, in sorted order: the
+    constants and each Sub factor's slots are chains, so every orbit comes
+    out once."""
     check_enumerable(level, *map(expr.slot_count, range(expr.n_comps())))
     out = []
     consts = tuple(-i for i in range(1, level + 1))
     for c in range(expr.n_comps()):
-        items = consts + tuple(range(expr.slot_count(c)))
+        items = consts[::-1] + tuple(range(expr.slot_count(c)))
         chains = (consts,) + expr.sub_groups(c)
-        out.extend(OrderPattern(c, level, classes) for classes in sorted(
-            _weak_orders(items, expr.separated_groups(c), chains)))
+        out.extend(OrderPattern(c, level, classes) for classes in
+                   _sorted_weak_orders(items, expr.separated_groups(c),
+                                       chains))
     return tuple(out)
+
+
+def _sorted_weak_orders(items, separated, chains) -> list[Classes]:
+    """sorted(_weak_orders(items, separated, chains)) for increasing
+    `items`, generated in that order: the least first class, then the
+    sorted weak orders of the items that remain, kept for each set of
+    remaining items as a bitmask.  A first class is a subset, in
+    lexicographic order, of the remaining items whose chain predecessor is
+    placed."""
+    n = len(items)
+    index = {item: i for i, item in enumerate(items)}
+    apart = separation_bits(items, separated)
+    before = [0] * n  # the bit of each item's chain predecessor
+    for chain in chains:
+        for a, b in zip(chain, chain[1:]):
+            before[index[b]] = 1 << index[a]
+
+    def moves(rest):
+        eligible = [i for i in range(n)
+                    if rest >> i & 1 and not rest & before[i]]
+        return [((cls,), rest & ~bits)
+                for cls, bits in lex_subsets(eligible, items, apart)]
+
+    return unfold((1 << n) - 1, moves, {0: [()]})
 
 
 def _shifted(groups, offset: int):

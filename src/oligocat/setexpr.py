@@ -182,6 +182,58 @@ def _geometry(comp: Component) -> SlotGeometry:
     return SlotGeometry(base, tuple(slots), separated, subs)
 
 
+def separation_bits(items, separated) -> list[int]:
+    """For each position i of `items`, the bits of the positions of its
+    separated group (0 outside every group): the `apart` of lex_subsets."""
+    index = {item: i for i, item in enumerate(items)}
+    apart = [0] * len(items)
+    for g in separated:
+        bits = sum(1 << index[s] for s in g)
+        for s in g:
+            apart[index[s]] = bits
+    return apart
+
+
+def lex_subsets(members, values, apart) -> list:
+    """The nonempty subsets of the bit positions `members` (increasing) with
+    no two members in one separated group, as (values, bits) pairs in
+    lexicographic order; apart[i] holds the bits of i's separated group.
+    Built from the last member back: the subsets starting at a member come
+    before those of the members after it."""
+    out = []
+    for i in reversed(members):
+        bit, head, banned = 1 << i, (values[i],), apart[i]
+        out = [(head, bit), *[(head + s, bit | m) for s, m in out
+                              if not m & banned], *out]
+    return out
+
+
+def unfold(root, moves, done: dict) -> list:
+    """The sequences from the state `root`: done[state] where given, else
+    the concatenation over moves(state), a list of (head, next state) in
+    order, of head + each sequence from the next state.  Every state's
+    sequences are kept in `done`; a state waits on a stack for the states
+    it leads to, so no recursion bounds the length of a sequence."""
+    moves_of = {}
+    stack = [root]
+    while stack:
+        state = stack[-1]
+        if state in done:
+            stack.pop()
+            continue
+        out = moves_of.get(state)
+        if out is None:
+            out = moves_of[state] = moves(state)
+            missing = [after for _, after in out if after not in done]
+            if missing:
+                stack += missing
+                continue
+        stack.pop()
+        done[state] = [head + tail for head, after in out
+                       for tail in done[after]]
+    return done[root]
+
+
 def perm_group(groups: tuple[tuple[int, ...], ...], k: int
                ) -> tuple[tuple[int, ...], ...]:
     """Slot maps on 0..k-1 that rearrange each group in turn and fix every

@@ -4,11 +4,13 @@ Orbits of the pointwise stabilizer of {1..N} on a declared set are described
 by patterns: a partition of the coordinate slots into blocks (equal values),
 with some blocks pinned to constants in {1..N} and the rest generic (pairwise
 distinct, avoiding {1..N}).  The level N is the group of definition.
-The constants are items of the enumeration, like the slots: a set
-partition of the slots and the N constants, no two constants in one block,
-is a pattern, with a block's constant as its pin and a block holding only a
-constant dropped.  Orbits, refinement and the composition rows all place
-constants this way, through the one enumerator `_partitions`.
+A set partition of the slots and the N constants, no two constants in one
+block, is a pattern, with a block's constant as its pin and a block holding
+only a constant dropped; refinement and the composition rows place the
+constants this way, through the enumerator `_partitions`.  Orbit
+enumeration lists the patterns already sorted instead: each constant in
+turn takes a block of the remaining slots or none, then each generic block
+takes the least remaining slot.
 
 A Sub factor's slots are separated, so each block holds at most one slot of
 each Sub(k) factor.  Give each block its signature: its pin, its non-Sub
@@ -24,6 +26,9 @@ The canonical form is the lex-min image under the slot group, built from
 the signatures without searching it: pinned blocks in pin order, then
 repeatedly the generic block with the least slots, each block taking the
 least free slot of every Sub factor it meets.
+The orbits are the signature multisets, generated directly: a pattern of
+the other slots and the constants, the blocks each Sub factor meets among
+its blocks, and generic blocks holding only Sub slots.
 """
 
 from __future__ import annotations
@@ -31,10 +36,12 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations, product as iproduct
 from math import comb, factorial, prod
 
 from .scalar import Poly, falling_factorial
-from .setexpr import SetExpr, check_enumerable, measure_polynomial, product
+from .setexpr import (SetExpr, check_enumerable, lex_subsets,
+                      measure_polynomial, product, separation_bits, unfold)
 
 # A pattern's blocks are a tuple of (slots, pin) with slots a sorted tuple of
 # slot ids and pin either an int in 1..N or None (generic).
@@ -341,36 +348,111 @@ class SymContext:
 
 @lru_cache(maxsize=None)
 def _sym_orbits(expr: SetExpr, level: int) -> tuple[SymPattern, ...]:
-    """Every partition of the slots and the constants, one per signature
-    multiset."""
+    """The canonical patterns of each component in _blocks_key order: as
+    _sorted_patterns lists them when no factor is a Sub factor, else one
+    per signature of _sub_signatures, sorted."""
     check_enumerable(level, *map(expr.slot_count, range(expr.n_comps())))
     out = []
     for c in range(expr.n_comps()):
-        k = expr.slot_count(c)
         subs = expr.sub_groups(c)
-        # the constants are items k..k+N-1: a block with item k + i - 1 is
-        # pinned to i, and a block of a constant alone is dropped
-        labelled = ([(b, None) if b[-1] < k else (b[:-1], b[-1] - k + 1)
-                     for b in part if b[0] < k] for part in _partitions(
-                        k + level, expr.separated_groups(c)
-                        + (tuple(range(k, k + level)),)))
         if subs:
-            owner = _sub_owner(subs)
-            raw = [_canonical_blocks(sig, subs) for sig in
-                   {_signature(blocks, owner) for blocks in labelled}]
-        else:  # distinct labelled patterns are distinct orbits, blocks sorted
-            raw = [tuple(sorted(blocks, key=_block_key))
-                   for blocks in labelled]
-        out.extend(SymPattern(c, level, blocks)
-                   for blocks in sorted(raw, key=_blocks_key))
+            raw = sorted((_canonical_blocks(sig, subs)
+                          for sig in _sub_signatures(expr, c, level)),
+                         key=_blocks_key)
+        else:
+            raw = _sorted_patterns(tuple(range(expr.slot_count(c))),
+                                   expr.separated_groups(c), level)
+        out.extend(SymPattern(c, level, blocks) for blocks in raw)
     return tuple(out)
+
+
+def _sorted_patterns(slots, separated, level: int) -> list[Blocks]:
+    """The patterns on `slots` (increasing) and the constants 1..level,
+    no two slots of a separated group in one block, in _blocks_key order:
+    each constant in turn takes a nonempty block of the remaining slots, in
+    lexicographic order, or none; then each generic block takes the least
+    remaining slot.  The patterns are kept for each state: the next
+    constant, and the remaining slots as a bitmask."""
+    n = len(slots)
+    apart = separation_bits(slots, separated)
+    generic = level + 1
+
+    def moves(state):
+        pin, rest = state
+        members = [i for i in range(n) if rest >> i & 1]
+        if pin < generic:
+            return [(((block, pin),), (pin + 1, rest & ~bits))
+                    for block, bits in lex_subsets(members, slots, apart)
+                    ] + [((), (pin + 1, rest))]
+        # the least slot, then any subset of the slots it may join
+        least = members[0]
+        head, rest = (slots[least],), rest & ~(1 << least)
+        joins = [i for i in members[1:] if not apart[least] >> i & 1]
+        return [(((head + block, None),), (pin, rest & ~bits))
+                for block, bits in [((), 0),
+                                    *lex_subsets(joins, slots, apart)]]
+
+    return unfold((1, (1 << n) - 1), moves, {(generic, 0): [()]})
+
+
+def _sub_signatures(expr: SetExpr, c: int, level: int):
+    """The signature of each orbit of a component with Sub factors, once:
+    a core pattern on the other slots and the constants, from
+    _sorted_patterns, an absent constant a core block of that constant
+    alone; each Sub factor meets a set of the core blocks, and generic
+    blocks holding only Sub slots meet the factors left to meet, a
+    multiset of factor sets.  Pinned blocks come first, in pin order."""
+    subs = expr.sub_groups(c)
+    in_sub = {s for g in subs for s in g}
+    slots = tuple(s for s in range(expr.slot_count(c)) if s not in in_sub)
+    separated = tuple(g for g in expr.separated_groups(c)
+                      if g[0] not in in_sub)
+    sizes = [len(g) for g in subs]
+    multisets = {None: [()]}  # the states of _multiset_moves
+    for pattern in _sorted_patterns(slots, separated, level):
+        pinned = {pin: block for block, pin in pattern if pin is not None}
+        core = [(pinned.get(pin, ()), pin) for pin in range(1, level + 1)]
+        core += [b for b in pattern if b[1] is None]
+        met_by = [[met for j in range(min(k, len(core)) + 1)
+                   for met in combinations(range(len(core)), j)]
+                  for k in sizes]
+        for choice in iproduct(*met_by):
+            meets = [[] for _ in core]
+            for f, met in enumerate(choice):
+                for i in met:
+                    meets[i].append(f)
+            sig = [(pin is None, pin or 0, fixed, tuple(m))
+                   for (fixed, pin), m in zip(core, meets) if fixed or m]
+            left = tuple(k - len(met) for k, met in zip(sizes, choice))
+            for extra in unfold((left, ()) if any(left) else None,
+                                _multiset_moves, multisets):
+                yield sig + [(True, 0, (), m) for m in extra]
+
+
+def _multiset_moves(state):
+    """The moves of unfold for the multisets of nonempty factor sets
+    (increasing tuples) that meet each factor f exactly need[f] times, each
+    multiset once, as its sorted sequence.  A state is (need, floor): the
+    next set holds the least factor still to meet and is no less than
+    floor, the set before it; the state None has nothing left to meet."""
+    need, floor = state
+    todo = [f for f, k in enumerate(need) if k]
+    out = []
+    for j in range(len(todo)):
+        for more in combinations(todo[1:], j):
+            m = (todo[0],) + more
+            if m >= floor:
+                after = list(need)
+                for f in m:
+                    after[f] -= 1
+                out.append(((m,), (tuple(after), m) if any(after) else None))
+    return out
 
 
 @lru_cache(maxsize=None)
 def _row_partitions(k: int, separated, given: int):
     """The partitions of the X slots of a composition row with `given`
-    blocks given.  Orbit enumeration calls _partitions uncached, so that its
-    lists of labelled patterns do not stay in memory."""
+    blocks given."""
     return _partitions(k, separated, given)
 
 

@@ -159,7 +159,9 @@ def test_product_past_the_slot_bound_exits_2(ctx, monkeypatch, capsys):
         raise AssertionError("orbits enumerated")
 
     monkeypatch.setattr(symcontext, "_partitions", refuse)
+    monkeypatch.setattr(symcontext, "_sorted_patterns", refuse)
     monkeypatch.setattr(ordercontext, "_weak_orders", refuse)
+    monkeypatch.setattr(ordercontext, "_sorted_weak_orders", refuse)
     assert cli.main(["hom", "--ctx", ctx, "--x", "Sub(600)",
                      "--y", "Sub(600)"]) == 2
     captured = capsys.readouterr()

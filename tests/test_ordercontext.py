@@ -9,7 +9,8 @@ from oligocat.ordercontext import (LEGAL_SPECS, OrderContext, OrderPattern,
                                    ruffle_product, single_color_symbols,
                                    verify_symbol)
 from oligocat.scalar import Poly
-from oligocat.setexpr import inj, perm_group, power, product, sub, union
+from oligocat.setexpr import (SetExpr, inj, perm_group, power, product, sub,
+                              union)
 
 ctx = OrderContext(-1, -1)
 
@@ -302,6 +303,49 @@ def test_weak_orders_match_the_recursion():
     assert len(calls) > 100
     for args in calls:
         assert _weak_orders(*args) == list(_weak_orders_by_recursion(*args))
+
+
+ORDER_GRID = [SetExpr.from_text(s) for s in (
+    "0", "1", "Omega", "Power(3)", "Inj(3)", "Inj(2)*Power(1)",
+    "Sub(2)*Power(2)", "Sub(2)*Inj(2)", "Sub(3)*Sub(2)",
+    "Power(1)*Sub(2)*Power(1)", "1 + Omega + Sub(2)",
+    "Inj(2)*Sub(2) + Sub(3) + Power(2)")]
+
+
+def _sorted_weak_orders_oracle(expr, level):
+    """The path the direct generator replaced: every weak order of the
+    slots and the constants with the chains respected, sorted."""
+    consts = tuple(-i for i in range(1, level + 1))
+    out = []
+    for c in range(expr.n_comps()):
+        out += [OrderPattern(c, level, classes) for classes in sorted(
+            _weak_orders(consts + tuple(range(expr.slot_count(c))),
+                         expr.separated_groups(c),
+                         (consts,) + expr.sub_groups(c)))]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("expr", ORDER_GRID, ids=lambda e: e.to_text())
+def test_orbits_are_the_sorted_weak_orders(expr):
+    """orbits lists the sorted weak orders, in the same order, at levels
+    0-3; the empty product has its one orbit at every level."""
+    for level in range(4):
+        assert ctx.orbits(expr, level) == _sorted_weak_orders_oracle(
+            expr, level)
+    if expr.comps == ((),):
+        assert [p.classes for p in ctx.orbits(expr, 0)] == [()]
+
+
+def test_orbits_are_strictly_increasing_per_component():
+    """Components in order, and within one the classes strictly
+    increasing: sorted, with no orbit twice."""
+    for expr in ORDER_GRID + [power(5), product(sub(2), sub(2), power(2))]:
+        for level in range(3):
+            orbits = ctx.orbits(expr, level)
+            assert [p.comp for p in orbits] == sorted(p.comp for p in orbits)
+            for c in range(expr.n_comps()):
+                classes = [p.classes for p in orbits if p.comp == c]
+                assert all(a < b for a, b in zip(classes, classes[1:]))
 
 
 def test_orbits_do_not_search_slot_symmetries(monkeypatch):

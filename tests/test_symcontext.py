@@ -7,10 +7,12 @@ import pytest
 
 from oligocat.ordercontext import LEGAL_SPECS, OrderContext, _full_line_value
 from oligocat.scalar import Poly, binomial_poly, falling_factorial
-from oligocat.setexpr import (SetExpr, inj, measure_polynomial, one,
-                              perm_group, power, product, sub, union)
+from oligocat.setexpr import (SetExpr, inj, lex_subsets, measure_polynomial,
+                              one, perm_group, power, product,
+                              separation_bits, sub, union)
 from oligocat.symcontext import (SymContext, SymPattern, _blocks_key,
-                                 _partitions, _sort_blocks)
+                                 _canonical_blocks, _partitions, _signature,
+                                 _sort_blocks)
 
 ctx = SymContext()
 t = Poly.var()
@@ -312,6 +314,98 @@ def test_partitions_match_the_recursion():
         assert _partitions(*args) == _partitions_by_recursion(*args)
 
 
+SYM_GRID = [SetExpr.from_text(s) for s in (
+    "0", "1", "Omega", "Power(3)", "Inj(3)", "Inj(2)*Power(2)", "Sub(3)",
+    "Sub(2)*Power(2)", "Power(1)*Sub(2)*Inj(2)", "Sub(2)*Sub(2)*Power(1)",
+    "Sub(1)*Sub(2)*Sub(1)", "1 + Omega + Sub(2)",
+    "Inj(2)*Sub(2) + Sub(3) + Power(2)")]
+
+
+def _orbits_by_signature_dedupe(expr, level):
+    """The path the signature generator replaced: every partition of the
+    slots and the constants, no two constants in one block, read as a
+    labelled pattern; one canonical pattern per signature multiset (every
+    labelled pattern with no Sub factor), sorted."""
+    out = []
+    for c in range(expr.n_comps()):
+        k, subs = expr.slot_count(c), expr.sub_groups(c)
+        owner = {s: f for f, g in enumerate(subs) for s in g}
+        sigs = {_signature([(b, None) if b[-1] < k else
+                            (b[:-1], b[-1] - k + 1) for b in part if b[0] < k],
+                           owner)
+                for part in _partitions(k + level, expr.separated_groups(c)
+                                        + (tuple(range(k, k + level)),))}
+        out += [SymPattern(c, level, blocks) for blocks in sorted(
+            (_canonical_blocks(sig, subs) for sig in sigs), key=_blocks_key)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("expr", SYM_GRID, ids=lambda e: e.to_text())
+def test_orbits_are_the_sorted_signature_classes(expr):
+    """orbits lists what the labelled-partition dedupe lists, in the same
+    order, at levels 0-3."""
+    for level in range(4):
+        assert ctx.orbits(expr, level) == _orbits_by_signature_dedupe(
+            expr, level)
+
+
+@pytest.mark.parametrize("expr,count", [(product(*[sub(2)] * 5), 1750),
+                                        (product(*[sub(3)] * 3), 39)],
+                         ids=["Sub(2)^5", "Sub(3)^3"])
+def test_sub_powers_match_the_signature_dedupe(expr, count):
+    orbits = ctx.orbits(expr, 0)
+    assert len(orbits) == count
+    assert orbits == _orbits_by_signature_dedupe(expr, 0)
+
+
+def test_orbits_are_strictly_increasing_per_component():
+    """Components in order, and within one the blocks strictly increasing
+    under _blocks_key: sorted, with no orbit twice."""
+    for expr in SYM_GRID + [power(5), product(sub(2), sub(2), sub(2))]:
+        for level in range(3):
+            orbits = ctx.orbits(expr, level)
+            assert [p.comp for p in orbits] == sorted(p.comp for p in orbits)
+            for c in range(expr.n_comps()):
+                keys = [_blocks_key(p.blocks) for p in orbits if p.comp == c]
+                assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_sub_orbits_canonicalize_each_signature_once(monkeypatch):
+    """Sub(2)^5 builds its 1,750 signatures directly: one _canonical_blocks
+    call per orbit and no signature read off a labelled pattern."""
+    from oligocat import symcontext
+
+    calls = []
+
+    def counting(sig, subs):
+        calls.append(sig)
+        return _canonical_blocks(sig, subs)
+
+    def refuse(*args):
+        raise AssertionError("signature of a labelled pattern")
+
+    monkeypatch.setattr(symcontext, "_canonical_blocks", counting)
+    monkeypatch.setattr(symcontext, "_signature", refuse)
+    orbits = symcontext._sym_orbits.__wrapped__(product(*[sub(2)] * 5), 0)
+    assert len(orbits) == len(calls) == 1750
+
+
+def test_lex_subsets_are_the_sorted_subsets_with_separated_apart():
+    """Against combinations: the nonempty subsets of the members with at
+    most one member of each separated group, with their bits, sorted."""
+    values = tuple("abcdef")
+    for separated in [(), ((0, 1),), ((0, 2, 4), (1, 3)), ((5, 0, 3),)]:
+        apart = separation_bits(range(6), separated)
+        for members in [range(6), [1, 3, 4], [], [2], [0, 3, 5]]:
+            expected = sorted(
+                c for j in range(1, len(members) + 1)
+                for c in combinations(members, j)
+                if all(len(set(c) & set(g)) <= 1 for g in separated))
+            assert lex_subsets(list(members), values, apart) == [
+                (tuple(values[i] for i in c), sum(1 << i for i in c))
+                for c in expected]
+
+
 def test_sym_backend_builds_no_slot_group(monkeypatch):
     """With perm_group refusing, enumeration, measures, canonical forms and
     composition of the sym backend work on Sub-heavy sets."""
@@ -400,7 +494,9 @@ def test_enumeration_past_the_slot_bound_is_refused(backend, monkeypatch):
         raise AssertionError("orbits enumerated")
 
     monkeypatch.setattr(symcontext, "_partitions", refuse)
+    monkeypatch.setattr(symcontext, "_sorted_patterns", refuse)
     monkeypatch.setattr(ordercontext, "_weak_orders", refuse)
+    monkeypatch.setattr(ordercontext, "_sorted_weak_orders", refuse)
     # the one orbit of Sub(999) at level 0, built by hand
     if isinstance(backend, SymContext):
         big = SymPattern(0, 0, tuple(((i,), None) for i in range(999)))
