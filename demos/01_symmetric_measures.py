@@ -28,7 +28,8 @@ for n in range(2, 7):
 print()
 print("== orbits of Omega^2 under the stabilizer of {1} ==")
 for pat in ctx.orbits(power(2), 1):
-    print(f"  {pat.to_text():28s} measure {ctx.measure(power(2), pat).to_text()}")
+    text = ctx.orbit_text(power(2), pat)
+    print(f"  {text:28s} measure {ctx.measure(power(2), pat).to_text()}")
 
 print()
 print("== additivity under refining the level ==")

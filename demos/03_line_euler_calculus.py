@@ -30,7 +30,7 @@ for eps in (-1, 0):
 print()
 print("== End(C(R)): A = [x < y], B = [x > y] ==")
 rr = product(power(1), power(1))
-pats = {p.classes: p for p in ctx.orbits(rr, 0)}
+pats = {p[2]: p for p in ctx.orbits(rr, 0)}  # orbit = (comp, level, classes)
 A = InvariantMatrix(ctx, power(1), power(1),
                     SchwartzFunction.from_orbit(ctx, rr, pats[((0,), (1,))]))
 B = InvariantMatrix(ctx, power(1), power(1),

@@ -279,8 +279,12 @@ def idempotent_decompose(x: PermObject, at: EvalPoint):
         mat = sp.to_matrix(e)
         dim = evaluate(trace(mat), at)
         out.append((mat, dim))
+    # sorted by each orbit's text in quotes, slots named by id (expr None):
+    # the closing quote sorts after "#", so "[]@N=0#c3" comes before
+    # "[]@N=0", the order that the recorded outputs hold
     out.sort(key=lambda md: sorted(
-        (repr(p), c.to_text()) for p, c in md[0].entries.terms.items()))
+        (repr(x.ctx.orbit_text(None, p)), c.to_text())
+        for p, c in md[0].entries.terms.items()))
     return out
 
 

@@ -23,7 +23,7 @@ from .glqmeasure import QContext
 from .integration import GSetMap, SchwartzFunction
 from .matrixalg import InvariantMatrix, char_series, matmul, trace
 from .ordercontext import OrderContext
-from .scalar import EvalPoint, Poly, evaluate
+from .scalar import _MAX_TEXT_POWER_BITS, EvalPoint, Poly, evaluate
 from .setexpr import SetExpr, inj, product
 from .symcontext import SymContext
 from .verify import SUITE_NAMES, run_suites
@@ -51,6 +51,23 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+# 10 bits hold 3 decimal digits: a rational point of this many digits stays
+# within the bits of a power that polynomial text may build
+_MAX_AT_DIGITS = _MAX_TEXT_POWER_BITS * 3 // 10
+
+
+def _digit_bound(text: str) -> int:
+    """The digits of a rational text plus its decimal exponent, a bound on
+    the digits of its numerator and denominator read without building
+    them; an exponent of 10 digits or more counts as 10**10."""
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    count = sum(c.isdecimal() for c in mantissa)
+    if exponent.isdecimal():
+        count += int(exponent) if len(exponent) < 10 else 10 ** 10
+    return count
+
+
 def parse_at(text: str | None) -> EvalPoint:
     if text is None:
         return EvalPoint.generic()
@@ -60,6 +77,10 @@ def parse_at(text: str | None) -> EvalPoint:
             return EvalPoint.modular(int(t0), int(p))
         except ValueError as exc:
             raise ValueError(f"bad modular point {text!r}") from exc
+    digits = _digit_bound(text)
+    if digits > _MAX_AT_DIGITS:
+        raise ValueError(f"evaluation point of up to {digits} digits, past "
+                         f"{_MAX_AT_DIGITS}")
     try:
         return EvalPoint.rational(Fraction(text))
     except ValueError as exc:

@@ -204,20 +204,21 @@ class SchwartzFunction:
 
     @staticmethod
     def from_orbit(ctx, expr: SetExpr, pat, coeff=1) -> "SchwartzFunction":
-        return SchwartzFunction(ctx, expr, pat.level, {pat: Poly.const(coeff)
+        return SchwartzFunction(ctx, expr, pat[1], {pat: Poly.const(coeff)
                                                        if not isinstance(coeff, Poly)
                                                        else coeff})
 
     def __repr__(self):
-        inside = ", ".join(f"{p.to_text()}: {c.to_text()}"
-                           for p, c in sorted(self.terms.items(),
-                                              key=lambda kv: kv[0].to_text()))
+        inside = ", ".join(f"{p}: {c}" for p, c in sorted(
+            (self.ctx.orbit_text(self.expr, p), c.to_text())
+            for p, c in self.terms.items()))
         return f"SchwartzFunction({self.expr.to_text()}@{self.level} {{{inside}}})"
 
     def __eq__(self, other):
         if not isinstance(other, SchwartzFunction):
             return NotImplemented
-        if self.expr != other.expr:
+        # orbits are plain tuples, so the backends must agree first
+        if self.expr != other.expr or self.ctx.name != other.ctx.name:
             return False
         n = max(self.level, other.level)
         return change_level(self, n).terms == change_level(other, n).terms

@@ -19,67 +19,22 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import lru_cache
+from itertools import repeat
 
 from .scalar import Poly
 from .setexpr import (SetExpr, check_enumerable, lex_subsets,
                       measure_polynomial, separation_bits, unfold)
 
-# Pattern classes are tuples of items; an item is a slot id >= 0 or -i for
-# the i-th pinned constant (so constants sort first within a class).
+# An orbit is the tuple (comp, level, classes): a weak order on slots and
+# constants, with the slots of each Sub factor in increasing classes.  The
+# classes are tuples of items; an item is a slot id >= 0 or -i for the i-th
+# pinned constant (so constants sort first within a class).
 Classes = tuple[tuple[int, ...], ...]
+Orbit = tuple[int, int, Classes]
 
 # The four measures as (epsilon, delta): the values on left and right
 # interval powers.
 LEGAL_SPECS = ((-1, -1), (-1, 0), (0, -1), (0, 0))
-
-
-class OrderPattern:
-    """One stabilizer orbit: a weak order on slots and constants, with the
-    slots of each Sub factor in increasing classes."""
-
-    __slots__ = ("comp", "level", "classes", "_hash")
-
-    def __init__(self, comp: int, level: int, classes: Classes):
-        self.comp = comp
-        self.level = level
-        self.classes = classes
-        self._hash = None  # computed on the first __hash__
-
-    def __eq__(self, other):
-        return (isinstance(other, OrderPattern) and
-                (self.comp, self.level, self.classes)
-                == (other.comp, other.level, other.classes))
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.comp, self.level, self.classes))
-        return h
-
-    def __repr__(self):
-        return f"OrderPattern({self.to_text(None)!r})"
-
-    def to_text(self, expr: SetExpr | None = None) -> str:
-        """Token string, e.g. "r1<b1=r2<b2"; constants appear as "#i"."""
-        factor_of = {}
-        if expr is not None:
-            for fi, slots in enumerate(expr.factor_slots(self.comp)):
-                for j, s in enumerate(slots):
-                    factor_of[s] = (fi, j)
-        names = []
-        for cls in self.classes:
-            toks = []
-            for item in sorted(cls):
-                if item < 0:
-                    toks.append(f"#{-item}")
-                else:
-                    fi, j = factor_of.get(item, (0, item))
-                    toks.append(f"{_factor_letter(fi)}{j + 1}")
-            names.append("=".join(toks))
-        tag = f"@r={self.level}"
-        if self.comp:
-            tag += f"#c{self.comp}"
-        return "<".join(names) + tag if names else "()" + tag
 
 
 class OrderContext:
@@ -104,28 +59,28 @@ class OrderContext:
 
     # -- canonical form -------------------------------------------------
 
-    def canonicalize(self, expr: SetExpr, pat: OrderPattern) -> OrderPattern:
+    def canonicalize(self, expr: SetExpr, pat: Orbit) -> Orbit:
         """Relabel each Sub factor's slots, taken in class order, onto the
         factor's slot ids in increasing order."""
-        class_of = {i: ci for ci, cls in enumerate(pat.classes) for i in cls}
+        comp, level, classes = pat
+        class_of = {i: ci for ci, cls in enumerate(classes) for i in cls}
         relabel = {}
-        for g in expr.sub_groups(pat.comp):
+        for g in expr.sub_groups(comp):
             relabel.update(zip(sorted(g, key=class_of.__getitem__), g))
-        return OrderPattern(pat.comp, pat.level, tuple(
-            tuple(sorted(relabel.get(i, i) for i in cls))
-            for cls in pat.classes))
+        return comp, level, tuple(
+            tuple(sorted(relabel.get(i, i) for i in cls)) for cls in classes)
 
     # -- enumeration ----------------------------------------------------
 
-    def orbits(self, expr: SetExpr, level: int) -> tuple[OrderPattern, ...]:
+    def orbits(self, expr: SetExpr, level: int) -> tuple[Orbit, ...]:
         return _order_orbits(expr, level)
 
     # -- measure ----------------------------------------------------------
 
-    def measure(self, expr: SetExpr, pat: OrderPattern) -> Poly:
+    def measure(self, expr: SetExpr, pat: Orbit) -> Poly:
         """Product over the gaps between constants of the interval-power
         values; the whole line (no constants around) gets the split sum."""
-        return Poly.const(_gap_product(self.spec, _gaps(pat.classes)))
+        return Poly.const(_gap_product(self.spec, _gaps(pat[2])))
 
     def set_measure(self, expr: SetExpr, level: int = 0) -> Poly:
         """The product rule on integers at mu(R) = epsilon + delta + 1; no
@@ -136,53 +91,53 @@ class OrderContext:
 
     # -- level refinement ----------------------------------------------
 
-    def refine(self, expr: SetExpr, pat: OrderPattern, level2: int
-               ) -> list[OrderPattern]:
+    def refine(self, expr: SetExpr, pat: Orbit, level2: int
+               ) -> list[Orbit]:
         """The new constants form a chain above the existing ones; that
         never reorders Sub slots, so the refined patterns stay canonical."""
-        if level2 < pat.level:
+        comp, level, classes = pat
+        if level2 < level:
             raise ValueError("refinement level must not decrease")
-        check_enumerable(level2, expr.slot_count(pat.comp))
-        new = tuple(-i for i in range(pat.level + 1, level2 + 1))
-        chain = ((-pat.level,) if pat.level else ()) + new
-        return [OrderPattern(pat.comp, level2,
-                             tuple(tuple(sorted(cls)) for cls in classes))
-                for classes in _weak_orders(new, (), (chain,), pat.classes)]
+        check_enumerable(level2, expr.slot_count(comp))
+        new = tuple(-i for i in range(level + 1, level2 + 1))
+        chain = ((-level,) if level else ()) + new
+        return [(comp, level2, tuple(tuple(sorted(cls)) for cls in refined))
+                for refined in _weak_orders(new, (), (chain,), classes)]
 
     # -- pushforward primitive -------------------------------------------
 
-    def push_orbit(self, mapdata, pat: OrderPattern):
+    def push_orbit(self, mapdata, pat: Orbit):
         """The fiber is the placements of the unreferenced classes in the
         gaps between the pinned ones (a constant or a referenced slot);
         no slot map but the identity fixes a pattern, so nothing is
         divided out."""
-        referenced = set(mapdata.routes[pat.comp][1])
+        referenced = set(mapdata.routes[pat[0]][1])
         return (self.image_orbit(mapdata, pat),
                 Poly.const(_gap_product(self.spec,
-                                        _gaps(pat.classes, referenced))))
+                                        _gaps(pat[2], referenced))))
 
-    def image_orbit(self, mapdata, pat: OrderPattern) -> OrderPattern:
-        """Image pattern only (no fiber measure); the pullback workhorse."""
-        tgt = mapdata.target
-        tcomp, feed = mapdata.routes[pat.comp]
+    def image_orbit(self, mapdata, pat: Orbit) -> Orbit:
+        """Image orbit only (no fiber measure); the pullback workhorse."""
+        comp, level, classes = pat
+        tcomp, feed = mapdata.routes[comp]
         class_of = {}
-        for ci, cls in enumerate(pat.classes):
+        for ci, cls in enumerate(classes):
             for item in cls:
                 class_of[item] = ci
         img = {}
         for tslot, sslot in enumerate(feed):
             img.setdefault(class_of[sslot], []).append(tslot)
-        for ci, cls in enumerate(pat.classes):
+        for ci, cls in enumerate(classes):
             for item in cls:
                 if item < 0:
                     img.setdefault(ci, []).append(item)
         img_classes = tuple(tuple(sorted(img[ci])) for ci in sorted(img))
-        return self.canonicalize(tgt, OrderPattern(tcomp, pat.level, img_classes))
+        return self.canonicalize(mapdata.target, (tcomp, level, img_classes))
 
     # -- composition primitive -------------------------------------------
 
     def composition_row(self, z: SetExpr, y: SetExpr, x: SetExpr,
-                        level: int, o_zy: OrderPattern):
+                        level: int, o_zy: Orbit):
         """One row of the fibres of Z x Y x X -> Z x X: the extensions of
         the orbit o_zy of Z x Y by the X items.
 
@@ -195,7 +150,7 @@ class OrderContext:
         _gap_product(spec, gaps), the gaps counting the classes of Y items
         only between the pinned classes (a constant or a Z or X item)."""
         nx, ny = x.n_comps(), y.n_comps()
-        zc, yc = divmod(o_zy.comp, ny)
+        zc, yc = divmod(o_zy[0], ny)
         kz, ky = z.slot_count(zc), y.slot_count(yc)
         top = kz + ky  # X item j is top + j
         check_enumerable(level, *(top + x.slot_count(xc) for xc in range(nx)))
@@ -208,7 +163,7 @@ class OrderContext:
             for classes in _weak_orders(
                     range(top, top + kx),
                     _shifted(x.separated_groups(xc), top),
-                    _shifted(x.sub_groups(xc), top), o_zy.classes):
+                    _shifted(x.sub_groups(xc), top), o_zy[2]):
                 gaps, yx, zx = [0], [], []
                 for cls in classes:
                     parts = split.get(cls)
@@ -238,10 +193,32 @@ class OrderContext:
 
     # -- misc -------------------------------------------------------------
 
-    def orbit_text(self, expr: SetExpr, pat: OrderPattern) -> str:
-        return pat.to_text(expr)
+    def orbit_text(self, expr: SetExpr | None, pat: Orbit) -> str:
+        """Token string, e.g. "r1<#1=b1<b2@r=1": a slot as its factor's
+        letter and its index in the factor, a constant as "#i".  With expr
+        None every slot is "r" and its slot id from 1."""
+        comp, level, classes = pat
+        factor_of = {}
+        if expr is not None:
+            for fi, slots in enumerate(expr.factor_slots(comp)):
+                for j, s in enumerate(slots):
+                    factor_of[s] = (fi, j)
+        names = []
+        for cls in classes:
+            toks = []
+            for item in sorted(cls):
+                if item < 0:
+                    toks.append(f"#{-item}")
+                else:
+                    fi, j = factor_of.get(item, (0, item))
+                    toks.append(f"{_factor_letter(fi)}{j + 1}")
+            names.append("=".join(toks))
+        tag = f"@r={level}"
+        if comp:
+            tag += f"#c{comp}"
+        return "<".join(names) + tag if names else "()" + tag
 
-    def parse_orbit(self, expr: SetExpr, s: str) -> OrderPattern:
+    def parse_orbit(self, expr: SetExpr, s: str) -> Orbit:
         """Parse a token string like "r1<b1=r2<b2" (indexed tokens) or the
         bare form "r<b=r<b" (occurrence order); constants are "#1", "#2",
         ...  Raises ValueError unless the text names one of the orbits of
@@ -286,8 +263,7 @@ class OrderContext:
                 classes.append(tuple(sorted(cls)))
         if not _is_weak_order(expr, comp, level, classes):
             raise ValueError(f"{s!r} is not an orbit of {expr.to_text()}")
-        return self.canonicalize(expr,
-                                 OrderPattern(comp, level, tuple(classes)))
+        return self.canonicalize(expr, (comp, level, tuple(classes)))
 
 
 def _gaps(classes: Classes, referenced=()) -> list[int]:
@@ -322,9 +298,9 @@ def _row_gap_product(spec: tuple[int, int], gaps: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _pattern(comp: int, level: int, classes: Classes) -> OrderPattern:
-    """The one pattern object of the composition rows for these classes."""
-    return OrderPattern(comp, level, classes)
+def _pattern(comp: int, level: int, classes: Classes) -> Orbit:
+    """The one orbit tuple of the composition rows for these classes."""
+    return comp, level, classes
 
 
 @lru_cache(maxsize=None)
@@ -345,7 +321,7 @@ def _full_line_value(e: int, d: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _order_orbits(expr: SetExpr, level: int) -> tuple[OrderPattern, ...]:
+def _order_orbits(expr: SetExpr, level: int) -> tuple[Orbit, ...]:
     """Canonical patterns generated directly, in sorted order: the
     constants and each Sub factor's slots are chains, so every orbit comes
     out once."""
@@ -355,9 +331,8 @@ def _order_orbits(expr: SetExpr, level: int) -> tuple[OrderPattern, ...]:
     for c in range(expr.n_comps()):
         items = consts[::-1] + tuple(range(expr.slot_count(c)))
         chains = (consts,) + expr.sub_groups(c)
-        out.extend(OrderPattern(c, level, classes) for classes in
-                   _sorted_weak_orders(items, expr.separated_groups(c),
-                                       chains))
+        out.extend(zip(repeat(c), repeat(level), _sorted_weak_orders(
+            items, expr.separated_groups(c), chains)))
     return tuple(out)
 
 

@@ -36,77 +36,24 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, product as iproduct
+from itertools import combinations, product as iproduct, repeat
 from math import comb, factorial, prod
 
 from .scalar import Poly, falling_factorial
 from .setexpr import (SetExpr, check_enumerable, lex_subsets,
                       measure_polynomial, product, separation_bits, unfold)
 
-# A pattern's blocks are a tuple of (slots, pin) with slots a sorted tuple of
-# slot ids and pin either an int in 1..N or None (generic).
+# An orbit is the tuple (comp, level, blocks), blocks a tuple of (slots, pin)
+# with slots a sorted tuple of slot ids and pin either an int in 1..N or None
+# (generic), in canonical form (unique under Sub-factor slot symmetries and
+# block ordering).
 Blocks = tuple[tuple[tuple[int, ...], int | None], ...]
+Orbit = tuple[int, int, Blocks]
 
 
-class SymPattern:
-    """One stabilizer orbit on a component of a declared set, in canonical
-    form (unique under Sub-factor slot symmetries and block ordering)."""
-
-    __slots__ = ("comp", "level", "blocks", "_hash")
-
-    def __init__(self, comp: int, level: int, blocks: Blocks):
-        self.comp = comp
-        self.level = level
-        self.blocks = blocks
-        self._hash = None  # computed on the first __hash__
-
-    def __eq__(self, other):
-        return (isinstance(other, SymPattern) and
-                (self.comp, self.level, self.blocks)
-                == (other.comp, other.level, other.blocks))
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.comp, self.level, self.blocks))
-        return h
-
-    def __repr__(self):
-        return f"SymPattern({self.to_text()!r})"
-
-    def generic_count(self) -> int:
-        return sum(1 for _, pin in self.blocks if pin is None)
-
-    def to_text(self) -> str:
-        parts = []
-        for slots, pin in self.blocks:
-            inner = ",".join(str(s + 1) for s in slots)
-            if pin is not None:
-                inner += f"|pin={pin}"
-            parts.append("{%s}" % inner)
-        tag = f"@N={self.level}"
-        if self.comp:
-            tag += f"#c{self.comp}"
-        return "[" + ",".join(parts) + "]" + tag
-
-    @staticmethod
-    def from_text(s: str) -> "SymPattern":
-        m = re.fullmatch(r"\[((\{[^{}]*\})(,\{[^{}]*\})*)?\]@N=(\d+)(#c(\d+))?",
-                         s.strip())
-        if not m:
-            raise ValueError(f"bad orbit text {s!r}")
-        level = int(m.group(4))
-        comp = int(m.group(6)) if m.group(6) else 0
-        blocks = []
-        body = m.group(1) or ""
-        for part in re.findall(r"\{([^{}]*)\}", body):
-            pin = None
-            if "|pin=" in part:
-                part, pintext = part.split("|pin=")
-                pin = int(pintext)
-            slots = tuple(sorted(int(x) - 1 for x in part.split(",") if x))
-            blocks.append((slots, pin))
-        return SymPattern(comp, level, _sort_blocks(blocks))
+def generic_count(blocks: Blocks) -> int:
+    """The number of generic blocks."""
+    return sum(1 for _, pin in blocks if pin is None)
 
 
 def _block_key(b):
@@ -141,31 +88,35 @@ class SymContext:
 
     # -- canonical form -------------------------------------------------
 
-    def canonicalize(self, expr: SetExpr, pat: SymPattern) -> SymPattern:
-        subs = expr.sub_groups(pat.comp)
+    def canonicalize(self, expr: SetExpr, pat) -> Orbit:
+        """The orbit of (comp, level, blocks), the blocks in any order and
+        each block's slots in any order."""
+        comp, level, blocks = pat
+        subs = expr.sub_groups(comp)
         if not subs:
-            return SymPattern(pat.comp, pat.level, _sort_blocks(pat.blocks))
-        return SymPattern(pat.comp, pat.level, _canonical_blocks(
-            _signature(pat.blocks, _sub_owner(subs)), subs))
+            return comp, level, _sort_blocks(blocks)
+        return comp, level, _canonical_blocks(
+            _signature(blocks, _sub_owner(subs)), subs)
 
-    def stabilizer_order(self, expr: SetExpr, pat: SymPattern) -> int:
+    def stabilizer_order(self, expr: SetExpr, pat: Orbit) -> int:
         """Number of Sub-factor slot symmetries fixing (partition, pins)."""
-        subs = expr.sub_groups(pat.comp)
+        comp, _, blocks = pat
+        subs = expr.sub_groups(comp)
         if not subs:
             return 1
-        return _stabilizer_order(_signature(pat.blocks, _sub_owner(subs)))
+        return _stabilizer_order(_signature(blocks, _sub_owner(subs)))
 
     # -- enumeration ----------------------------------------------------
 
-    def orbits(self, expr: SetExpr, level: int) -> tuple[SymPattern, ...]:
+    def orbits(self, expr: SetExpr, level: int) -> tuple[Orbit, ...]:
         return _sym_orbits(expr, level)
 
     # -- measure ----------------------------------------------------------
 
-    def measure(self, expr: SetExpr, pat: SymPattern) -> Poly:
-        g = pat.generic_count()
+    def measure(self, expr: SetExpr, pat: Orbit) -> Poly:
+        _, level, blocks = pat
         s = self.stabilizer_order(expr, pat)
-        return falling_factorial(pat.level, g) / s
+        return falling_factorial(level, generic_count(blocks)) / s
 
     def set_measure(self, expr: SetExpr, level: int = 0) -> Poly:
         """The product rule at mu(Omega) = t; no orbit is enumerated.  The
@@ -197,31 +148,31 @@ class SymContext:
 
     # -- level refinement ----------------------------------------------
 
-    def refine(self, expr: SetExpr, pat: SymPattern, level2: int
-               ) -> list[SymPattern]:
+    def refine(self, expr: SetExpr, pat: Orbit, level2: int
+               ) -> list[Orbit]:
         """Decompose an orbit at a finer level; new pins live in
         {level+1..level2}."""
-        if level2 < pat.level:
+        comp, level, blocks = pat
+        if level2 < level:
             raise ValueError("refinement level must not decrease")
-        check_enumerable(level2, expr.slot_count(pat.comp))
-        if level2 == pat.level:
+        check_enumerable(level2, expr.slot_count(comp))
+        if level2 == level:
             return [pat]
-        new = level2 - pat.level
-        gen_idx = [i for i, (_, pin) in enumerate(pat.blocks) if pin is None]
+        new = level2 - level
+        gen_idx = [i for i, (_, pin) in enumerate(blocks) if pin is None]
         out = {}  # the refined orbits in order of first appearance
         # the new constants are the items; the generic blocks are given
         for part in _partitions(new, (tuple(range(new)),), len(gen_idx)):
-            blocks = list(pat.blocks)
+            refined = list(blocks)
             for i, placed in zip(gen_idx, part):
                 if placed:
-                    blocks[i] = (blocks[i][0], pat.level + 1 + placed[0])
-            out[self.canonicalize(expr, SymPattern(
-                pat.comp, level2, _sort_blocks(blocks)))] = None
+                    refined[i] = (refined[i][0], level + 1 + placed[0])
+            out[self.canonicalize(expr, (comp, level2, refined))] = None
         return list(out)
 
     # -- pushforward primitive -------------------------------------------
 
-    def push_orbit(self, mapdata, pat: SymPattern):
+    def push_orbit(self, mapdata, pat: Orbit):
         """Image orbit and fiber measure of one orbit under a structural map.
 
         Returns (image pattern, coefficient in Q[t]): the pushforward of the
@@ -230,37 +181,36 @@ class SymContext:
         the orbit measures, which the symmetry orders make exact:
         ff(N + g_det, g_free) * s_image / s_source.
         """
+        comp, level, blocks = pat
         image = self.image_orbit(mapdata, pat)
-        used = set(mapdata.routes[pat.comp][1])
+        used = set(mapdata.routes[comp][1])
         # generic source blocks meeting the map are determined by the image
-        g_det = sum(1 for slots, pin in pat.blocks
+        g_det = sum(1 for slots, pin in blocks
                     if pin is None and used.intersection(slots))
-        g_free = pat.generic_count() - g_det
+        g_free = generic_count(blocks) - g_det
         s_src = self.stabilizer_order(mapdata.source, pat)
         s_img = self.stabilizer_order(mapdata.target, image)
-        coeff = (falling_factorial(pat.level + g_det, g_free) * s_img) / s_src
+        coeff = (falling_factorial(level + g_det, g_free) * s_img) / s_src
         return image, coeff
 
-    def image_orbit(self, mapdata, pat: SymPattern) -> SymPattern:
-        """Image pattern only (no fiber measure); the pullback workhorse."""
-        tgt = mapdata.target
-        tcomp, feed = mapdata.routes[pat.comp]
+    def image_orbit(self, mapdata, pat: Orbit) -> Orbit:
+        """Image orbit only (no fiber measure); the pullback workhorse."""
+        comp, level, blocks = pat
+        tcomp, feed = mapdata.routes[comp]
         block_of = {}
-        for i, (slots, _) in enumerate(pat.blocks):
+        for i, (slots, _) in enumerate(blocks):
             for s in slots:
                 block_of[s] = i
         tgt_blocks: dict[int, list[int]] = {}
         for tslot, sslot in enumerate(feed):
             tgt_blocks.setdefault(block_of[sslot], []).append(tslot)
-        img_blocks = [(tuple(sorted(ts)), pat.blocks[i][1])
-                      for i, ts in tgt_blocks.items()]
-        return self.canonicalize(tgt, SymPattern(tcomp, pat.level,
-                                                 _sort_blocks(img_blocks)))
+        return self.canonicalize(mapdata.target, (tcomp, level, [
+            (ts, blocks[i][1]) for i, ts in tgt_blocks.items()]))
 
     # -- composition primitive -------------------------------------------
 
     def composition_row(self, z: SetExpr, y: SetExpr, x: SetExpr,
-                        level: int, o_zy: SymPattern):
+                        level: int, o_zy: Orbit):
         """One row of the fibres of Z x Y x X -> Z x X: the extensions of
         the orbit o_zy of Z x Y by the X slots.
 
@@ -279,15 +229,15 @@ class SymContext:
         ff(N + g_R, g_Yonly) s_R / s_P."""
         nx, ny = x.n_comps(), y.n_comps()
         yx_expr, zx_expr = product(y, x), product(z, x)
-        zc, yc = divmod(o_zy.comp, ny)
+        zc, yc = divmod(o_zy[0], ny)
         kz, ky = z.slot_count(zc), y.slot_count(yc)
         check_enumerable(level, *(kz + ky + x.slot_count(xc)
                                   for xc in range(nx)))
         s_zy = self.stabilizer_order(product(z, y), o_zy)
-        used = {pin for _, pin in o_zy.blocks}
+        used = {pin for _, pin in o_zy[2]}
         given = [(pin, tuple(s for s in slots if s < kz),
                   tuple(s - kz for s in slots if s >= kz))
-                 for slots, pin in o_zy.blocks]
+                 for slots, pin in o_zy[2]]
         given += [(c, (), ()) for c in range(1, level + 1) if c not in used]
         nb = len(given)
         for xc in range(nx):
@@ -314,40 +264,66 @@ class SymContext:
 
     # -- misc -------------------------------------------------------------
 
-    def orbit_text(self, expr: SetExpr, pat: SymPattern) -> str:
-        return pat.to_text()
+    def orbit_text(self, expr: SetExpr | None, pat: Orbit) -> str:
+        """The text of an orbit, e.g. "[{1|pin=1},{2,3}]@N=1#c2" (slots
+        from 1, the component tag only past component 0); expr is not
+        read."""
+        comp, level, blocks = pat
+        parts = []
+        for slots, pin in blocks:
+            inner = ",".join(str(s + 1) for s in slots)
+            if pin is not None:
+                inner += f"|pin={pin}"
+            parts.append("{%s}" % inner)
+        tag = f"@N={level}"
+        if comp:
+            tag += f"#c{comp}"
+        return "[" + ",".join(parts) + "]" + tag
 
-    def parse_orbit(self, expr: SetExpr, s: str) -> SymPattern:
+    def parse_orbit(self, expr: SetExpr, s: str) -> Orbit:
         """The orbit named by s; ValueError unless it is an orbit of expr:
         the blocks partition the slots, no two slots of one Inj or Sub
         factor share a block, and the pins are distinct and in 1..N."""
-        pat = SymPattern.from_text(s)
-        if (pat.comp >= expr.n_comps()
-                or sorted(x for slots, _ in pat.blocks for x in slots)
-                != list(range(expr.slot_count(pat.comp)))
-                or not all(slots for slots, _ in pat.blocks)):
+        m = re.fullmatch(r"\[((\{[^{}]*\})(,\{[^{}]*\})*)?\]@N=(\d+)(#c(\d+))?",
+                         s.strip())
+        if not m:
+            raise ValueError(f"bad orbit text {s!r}")
+        level = int(m.group(4))
+        comp = int(m.group(6)) if m.group(6) else 0
+        blocks = []
+        for part in re.findall(r"\{([^{}]*)\}", m.group(1) or ""):
+            pin = None
+            if "|pin=" in part:
+                part, pintext = part.split("|pin=")
+                pin = int(pintext)
+            blocks.append((tuple(int(x) - 1 for x in part.split(",") if x),
+                           pin))
+        if (comp >= expr.n_comps()
+                or sorted(x for slots, _ in blocks for x in slots)
+                != list(range(expr.slot_count(comp)))
+                or not all(slots for slots, _ in blocks)):
             raise ValueError(f"{s!r} does not fit the slots of {expr.to_text()}")
-        block_of = {x: i for i, (slots, _) in enumerate(pat.blocks)
+        block_of = {x: i for i, (slots, _) in enumerate(blocks)
                     for x in slots}
-        pins = [pin for _, pin in pat.blocks if pin is not None]
+        pins = [pin for _, pin in blocks if pin is not None]
         if (any(len({block_of[x] for x in g}) < len(g)
-                for g in expr.separated_groups(pat.comp))
+                for g in expr.separated_groups(comp))
                 or len(set(pins)) < len(pins)
-                or not all(1 <= pin <= pat.level for pin in pins)):
+                or not all(1 <= pin <= level for pin in pins)):
             raise ValueError(f"{s!r} is not an orbit of {expr.to_text()}")
-        return self.canonicalize(expr, pat)
+        return self.canonicalize(expr, (comp, level, blocks))
 
-    def relabel_pins(self, expr: SetExpr, pat: SymPattern, sigma: dict[int, int]
-                     ) -> SymPattern:
+    def relabel_pins(self, expr: SetExpr, pat: Orbit, sigma: dict[int, int]
+                     ) -> Orbit:
         """Apply a bijective relabeling of pin values (conjugation)."""
-        blocks = [(slots, sigma[pin] if pin is not None else None)
-                  for slots, pin in pat.blocks]
-        return self.canonicalize(expr, SymPattern(pat.comp, pat.level,
-                                                  _sort_blocks(blocks)))
+        comp, level, blocks = pat
+        return self.canonicalize(expr, (comp, level, [
+            (slots, sigma[pin] if pin is not None else None)
+            for slots, pin in blocks]))
 
 
 @lru_cache(maxsize=None)
-def _sym_orbits(expr: SetExpr, level: int) -> tuple[SymPattern, ...]:
+def _sym_orbits(expr: SetExpr, level: int) -> tuple[Orbit, ...]:
     """The canonical patterns of each component in _blocks_key order: as
     _sorted_patterns lists them when no factor is a Sub factor, else one
     per signature of _sub_signatures, sorted."""
@@ -362,7 +338,7 @@ def _sym_orbits(expr: SetExpr, level: int) -> tuple[SymPattern, ...]:
         else:
             raw = _sorted_patterns(tuple(range(expr.slot_count(c))),
                                    expr.separated_groups(c), level)
-        out.extend(SymPattern(c, level, blocks) for blocks in raw)
+        out.extend(zip(repeat(c), repeat(level), raw))
     return tuple(out)
 
 
@@ -457,16 +433,16 @@ def _row_partitions(k: int, separated, given: int):
 
 
 @lru_cache(maxsize=None)
-def _canonical(expr: SetExpr, comp: int, level: int, blocks) -> SymPattern:
-    """The canonical pattern of raw blocks, one object per orbit."""
-    return SymContext().canonicalize(expr, SymPattern(comp, level, blocks))
+def _canonical(expr: SetExpr, comp: int, level: int, blocks) -> Orbit:
+    """The orbit of raw blocks, one tuple per orbit."""
+    return SymContext().canonicalize(expr, (comp, level, blocks))
 
 
 @lru_cache(maxsize=None)
-def _row_weight(zx: SetExpr, r: SymPattern, g_yonly: int, denom: int) -> Poly:
+def _row_weight(zx: SetExpr, r: Orbit, g_yonly: int, denom: int) -> Poly:
     """ff(N + g_R, g_Yonly) s_R / denom, the weight of one extension in a
     composition row with restriction R to Z x X."""
-    return (falling_factorial(r.level + r.generic_count(), g_yonly)
+    return (falling_factorial(r[1] + generic_count(r[2]), g_yonly)
             * SymContext().stabilizer_order(zx, r) / denom)
 
 

@@ -238,9 +238,9 @@ def sym_end_oracle(n: int, big_n: int):
     tuple of int rows indexed by the points of [N]^n."""
     alg = EndAlgebra(SymContext(), power(n))
     pts = list(iproduct(range(1, big_n + 1), repeat=n))
-    mats = [tuple(tuple(int(_matches(pat.blocks, r + c)) for c in pts)
+    mats = [tuple(tuple(int(_matches(blocks, r + c)) for c in pts)
                   for r in pts)
-            for pat in alg.orbit_list]
+            for _, _, blocks in alg.orbit_list]
     return alg, mats
 
 

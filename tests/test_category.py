@@ -158,7 +158,7 @@ def test_idempotent_decomposition_order():
     assert sum(dims) == -1  # = mu(R)
     # the idempotents are A+1, B+1 and -1-A-B
     rr = product(power(1), power(1))
-    pats = {p.classes: p for p in order.orbits(rr, 0)}
+    pats = {p[2]: p for p in order.orbits(rr, 0)}
 
     def ind(classes):
         return InvariantMatrix(order, power(1), power(1),
@@ -249,7 +249,7 @@ def test_composition_is_matmul():
     obj = PermObject(sym, power(1))
     basis = hom_basis(obj, obj)
     offdiag = next(b for b in basis
-                   if len(next(iter(b.entries.terms)).blocks) == 2)
+                   if len(next(iter(b.entries.terms))[2]) == 2)
     sq = matmul(offdiag, offdiag)
     allones = InvariantMatrix.all_ones(sym, power(1))
     # offdiag = allones - identity; square it symbolically

@@ -132,6 +132,39 @@ def test_one_orbit_near_the_slot_bound_is_listed(ctx, capsys):
     assert captured.out.splitlines()[-1] == "# 1 orbits"
 
 
+@pytest.mark.parametrize("at", [
+    "1e5000", "1e100000000", "1E-4000", "-2.5e+3001", "7" * 3001,
+    "1/" + "3" * 3000, "1e" + "9" * 5000, "1e+0000" + "9" * 12],
+    ids=["1e5000", "1e100000000", "1E-4000", "-2.5e+3001", "3001 digits",
+         "denominator", "exponent of 5000 digits", "exponent of 12 digits"])
+def test_long_evaluation_point_exits_2_before_fraction(at, monkeypatch,
+                                                       capsys):
+    """An evaluation point whose digits with its exponent pass the bound
+    of polynomial text is refused with exit 2 before Fraction reads it."""
+    def refuse(*args):
+        raise AssertionError("Fraction called")
+
+    monkeypatch.setattr(cli, "Fraction", refuse)
+    assert cli.main(["measure", "--ctx", "sym", "--set", "Sub(2)",
+                     "--at=" + at]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: evaluation point of up to ")
+    assert captured.err.endswith(f" digits, past {cli._MAX_AT_DIGITS}\n")
+
+
+def test_evaluation_point_within_the_bound(capsys):
+    """Points up to the bound are read exactly: the measure of Omega is t,
+    so it prints the point."""
+    assert cli._MAX_AT_DIGITS == 3000
+    for at, value in [("1e3", "1000"), ("2.50e2", "250"), ("-3/4", "-3/4"),
+                      ("1" * 3000, "1" * 3000), ("1e2999", "1" + "0" * 2999),
+                      ("0" * 2999 + "5", "5"), ("5e-2998", "1/2" + "0" * 2997)]:
+        assert cli.main(["measure", "--ctx", "sym", "--set", "Omega",
+                         "--at=" + at]) == 0
+        assert capsys.readouterr().out == value + "\n"
+
+
 def test_too_deep_recursion_exits_2(monkeypatch, capsys):
     """A command that ends in RecursionError is reported without a
     traceback and exits 2.  The parser is made to raise, so nothing

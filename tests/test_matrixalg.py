@@ -19,7 +19,7 @@ from oligocat.ordercontext import LEGAL_SPECS, OrderContext
 from oligocat.scalar import (EvalPoint, Poly, TruncatedSeries, binomial_poly,
                              binomial_series, evaluate)
 from oligocat.setexpr import inj, power, product, sub, union
-from oligocat.symcontext import SymContext, SymPattern, _sort_blocks
+from oligocat.symcontext import SymContext, _sort_blocks
 
 sym = SymContext()
 order = OrderContext(-1, -1)
@@ -36,7 +36,7 @@ def rand_matrix(ctx, x, rng, lo=-3, hi=3):
 
 def order_end_basis():
     rr = product(power(1), power(1))
-    pats = {p.classes: p for p in order.orbits(rr, 0)}
+    pats = {p[2]: p for p in order.orbits(rr, 0)}
 
     def ind(classes):
         return InvariantMatrix(order, power(1), power(1),
@@ -266,7 +266,7 @@ def _orbit_of(expr, p, q, nq, level):
     blocks = {}
     for slot, v in enumerate(p[1] + q[1]):
         blocks.setdefault(v, []).append(slot)
-    pat = SymPattern(p[0] * nq + q[0], level, _sort_blocks(
+    pat = (p[0] * nq + q[0], level, _sort_blocks(
         (tuple(slots), v if v <= level else None)
         for v, slots in blocks.items()))
     return sym.canonicalize(expr, pat)

@@ -4,8 +4,8 @@ import pytest
 
 from oligocat.integration import (GSetMap, SchwartzFunction, change_level,
                                   integrate)
-from oligocat.ordercontext import (LEGAL_SPECS, OrderContext, OrderPattern,
-                                   Symbol, _gap_product, _weak_orders,
+from oligocat.ordercontext import (LEGAL_SPECS, OrderContext, Symbol,
+                                   _gap_product, _weak_orders,
                                    ruffle_product, single_color_symbols,
                                    verify_symbol)
 from oligocat.scalar import Poly
@@ -54,7 +54,7 @@ def test_parse_orbit_accepts_exactly_the_orbits():
                         classes = tuple(
                             tuple(sorted(i if i < k else k - 1 - i
                                          for i in cls)) for cls in labelled)
-                        text = OrderPattern(c, lvl, classes).to_text(expr)
+                        text = ctx.orbit_text(expr, (c, lvl, classes))
                         try:
                             pat = ctx.parse_orbit(expr, text)
                         except ValueError:
@@ -121,13 +121,13 @@ def test_refine_lists_the_orbits_over_the_pattern(expr):
             over = {}
             for q in ctx.orbits(expr, level2):
                 classes = tuple(c for c in (
-                    tuple(i for i in cls if i >= -level) for cls in q.classes)
+                    tuple(i for i in cls if i >= -level) for cls in q[2])
                     if c)
                 over.setdefault(classes, set()).add(q)
             for pat in ctx.orbits(expr, level):
                 refined = ctx.refine(expr, pat, level2)
                 assert len(refined) == len(set(refined))
-                assert set(refined) == over[pat.classes]
+                assert set(refined) == over[pat[2]]
 
 
 def test_orbit_text_round_trip():
@@ -143,9 +143,9 @@ def test_orbit_text_bare_tokens():
     # each carry their own letter, multi-slot factors repeat theirs
     expr = product(sub(2), sub(2))
     pat = ctx.parse_orbit(expr, "r<b=r<b")
-    assert pat.classes == ((0,), (1, 2), (3,))
+    assert pat[2] == ((0,), (1, 2), (3,))
     pat2 = ctx.parse_orbit(product(power(1), power(1)), "r<b")
-    assert pat2.classes == ((0,), (1,))
+    assert pat2[2] == ((0,), (1,))
 
 
 def test_ruffles():
@@ -164,7 +164,7 @@ def test_ruffle_matches_orbit_decomposition():
             by_len = Counter()
             for w, mult in ruffle_product("a" * n, "a" * m).items():
                 by_len[len(w)] += mult
-            by_classes = Counter(len(p.classes)
+            by_classes = Counter(len(p[2])
                                  for p in ctx.orbits(product(sub(n), sub(m)), 0))
             assert dict(by_len) == dict(by_classes)
 
@@ -208,11 +208,12 @@ SUB_HEAVY = [(product(sub(2), sub(2), sub(2)), 1),
 
 def _lexmin_canonicalize(expr, pat):
     """The minimum of the classes over every Sub-factor slot permutation."""
+    comp, level, classes = pat
     best = min(tuple(tuple(sorted(w[i] if i >= 0 else i for i in cls))
-                     for cls in pat.classes)
-               for w in perm_group(expr.sub_groups(pat.comp),
-                                   expr.slot_count(pat.comp)))
-    return OrderPattern(pat.comp, pat.level, best)
+                     for cls in classes)
+               for w in perm_group(expr.sub_groups(comp),
+                                   expr.slot_count(comp)))
+    return comp, level, best
 
 
 def _labelled_weak_orders(expr, level):
@@ -225,7 +226,7 @@ def _labelled_weak_orders(expr, level):
                                     seps):
             if [-i for cls in classes for i in cls if i < 0] == list(
                     range(1, level + 1)):
-                yield OrderPattern(c, level, classes)
+                yield c, level, classes
 
 
 @pytest.mark.parametrize("expr,level", SUB_HEAVY,
@@ -289,11 +290,11 @@ def _weak_order_calls():
             for pat in ctx.orbits(expr, level):
                 new = tuple(-i for i in range(level + 1, 4))
                 yield (new, (), (((-level,) if level else ()) + new,),
-                       pat.classes)
-                top = expr.slot_count(pat.comp)
+                       pat[2])
+                top = expr.slot_count(pat[0])
                 xs = tuple(range(top, top + 3))
-                yield xs, (xs[:2],), (), pat.classes
-                yield xs, (xs[:2],), (xs[:2],), pat.classes
+                yield xs, (xs[:2],), (), pat[2]
+                yield xs, (xs[:2],), (xs[:2],), pat[2]
 
 
 def test_weak_orders_match_the_recursion():
@@ -318,7 +319,7 @@ def _sorted_weak_orders_oracle(expr, level):
     consts = tuple(-i for i in range(1, level + 1))
     out = []
     for c in range(expr.n_comps()):
-        out += [OrderPattern(c, level, classes) for classes in sorted(
+        out += [(c, level, classes) for classes in sorted(
             _weak_orders(consts + tuple(range(expr.slot_count(c))),
                          expr.separated_groups(c),
                          (consts,) + expr.sub_groups(c)))]
@@ -333,7 +334,7 @@ def test_orbits_are_the_sorted_weak_orders(expr):
         assert ctx.orbits(expr, level) == _sorted_weak_orders_oracle(
             expr, level)
     if expr.comps == ((),):
-        assert [p.classes for p in ctx.orbits(expr, 0)] == [()]
+        assert [p[2] for p in ctx.orbits(expr, 0)] == [()]
 
 
 def test_orbits_are_strictly_increasing_per_component():
@@ -342,9 +343,9 @@ def test_orbits_are_strictly_increasing_per_component():
     for expr in ORDER_GRID + [power(5), product(sub(2), sub(2), power(2))]:
         for level in range(3):
             orbits = ctx.orbits(expr, level)
-            assert [p.comp for p in orbits] == sorted(p.comp for p in orbits)
+            assert [p[0] for p in orbits] == sorted(p[0] for p in orbits)
             for c in range(expr.n_comps()):
-                classes = [p.classes for p in orbits if p.comp == c]
+                classes = [p[2] for p in orbits if p[0] == c]
                 assert all(a < b for a, b in zip(classes, classes[1:]))
 
 
@@ -412,12 +413,13 @@ def _fixing_push_coeff(spec_ctx, f, pat, sym_groups):
     """The pushforward coefficient with the multiplicities of symmetrized
     Inj factors and of unreferenced Sub factors divided out by counting
     the slot maps that fix the pattern."""
-    k = f.source.slot_count(pat.comp)
+    comp, _, classes = pat
+    k = f.source.slot_count(comp)
     groups = tuple(sorted(sym_groups))
-    m_sym = _fixing(groups, k, pat.classes) if groups else 1
-    referenced = set(f.routes[pat.comp][1])
+    m_sym = _fixing(groups, k, classes) if groups else 1
+    referenced = set(f.routes[comp][1])
     pinned, gaps = [], [0]
-    for cls in pat.classes:
+    for cls in classes:
         has_pin = any(i < 0 or i in referenced for i in cls)
         pinned.append(has_pin)
         if has_pin:
@@ -426,13 +428,13 @@ def _fixing_push_coeff(spec_ctx, f, pat, sym_groups):
             gaps[-1] += 1
     coeff = _gap_product(spec_ctx.spec, gaps)
     s_res = 1
-    res_groups = tuple(g for g in f.source.sub_groups(pat.comp)
+    res_groups = tuple(g for g in f.source.sub_groups(comp)
                        if not any(s in referenced for s in g))
     if res_groups:
         marked = tuple(
             tuple(sorted([i for i in cls if i >= 0 and i not in referenced]
                          + ([-(ci + 1000)] if pinned[ci] else [])))
-            for ci, cls in enumerate(pat.classes))
+            for ci, cls in enumerate(classes))
         s_res = _fixing(res_groups, k, marked)
     return Poly.const(coeff) / s_res * m_sym
 
@@ -462,7 +464,7 @@ def test_push_coefficient_matches_fixing_count(spec):
             for pat in c.orbits(f.source, level):
                 image, coeff = c.push_orbit(f, pat)
                 assert coeff == _fixing_push_coeff(c, f, pat,
-                                                   groups(pat.comp))
+                                                   groups(pat[0]))
                 assert image == _lexmin_canonicalize(
                     f.target, c.image_orbit(f, pat))
 
@@ -473,11 +475,10 @@ def test_orbit_text_past_eight_factors():
     from oligocat import cli
     xx = product(power(5), power(5))
     slots = list(range(10))
-    pats = [OrderPattern(0, 0, tuple((s,) for s in slots)),
-            OrderPattern(0, 0, tuple((s,) for s in [8] + slots[1:8]
-                                     + [0, 9])),
-            OrderPattern(0, 1, ((0, 8), (-1,), tuple(slots[1:8]), (9,))),
-            OrderPattern(0, 2, ((9,), (-1, 0), (-2,) + tuple(slots[1:9])))]
+    pats = [(0, 0, tuple((s,) for s in slots)),
+            (0, 0, tuple((s,) for s in [8] + slots[1:8] + [0, 9])),
+            (0, 1, ((0, 8), (-1,), tuple(slots[1:8]), (9,))),
+            (0, 2, ((9,), (-1, 0), (-2,) + tuple(slots[1:9])))]
     texts = [ctx.orbit_text(xx, p) for p in pats]
     assert len(set(texts)) == len(texts)
     for p, text in zip(pats, texts):
